@@ -1,5 +1,6 @@
 """T factory search and fleet sizing."""
 
+import dataclasses
 import itertools
 import math
 
@@ -191,11 +192,22 @@ DISTANCE_AWARE = DistillationUnit.from_strings(
 )
 
 
+LOGICAL_15_TO_1 = dataclasses.replace(
+    DEFAULT_15_TO_1, name="15-to-1-logical", applicability=Applicability.LOGICAL_ONLY
+)
+
+
 def oracle_search(units, scheme, params, input_error, required_error, max_rounds=3):
-    """Independent full enumeration over every (unit, distance) chain."""
+    """Independent full enumeration over every (unit, distance) chain.
+
+    Returns ``(qubits per copy, duration, rounds, chain)`` for the first
+    minimal key in enumeration order, where ``chain`` lists the
+    ``(unit name, code distance)`` of each round; None when infeasible.
+    """
     base_env = params.time_variables()
     base_env["cliffordErrorRate"] = params.clifford_error_rate
     best = None
+    best_chain = None
 
     def round_env(distance, error):
         cycle, footprint = evaluate_scheme_formulas(scheme, params, distance)
@@ -237,7 +249,12 @@ def oracle_search(units, scheme, params, input_error, required_error, max_rounds
                 key = (copy_qubits, total_duration, length)
                 if best is None or key < best:
                     best = key
-    return best
+                    best_chain = [(u.name, d) for u, d in zip(sequence, distances)]
+    return None if best is None else (*best, best_chain)
+
+
+def chosen_rounds(plan):
+    return [(r.unit.name, r.code_distance) for r in plan.rounds]
 
 
 @pytest.fixture
@@ -258,6 +275,7 @@ class TestSearchMatchesOracle:
         assert plan.physical_qubits_per_copy == expected[0]
         assert plan.duration_per_run == pytest.approx(expected[1])
         assert len(plan.rounds) == expected[2]
+        assert chosen_rounds(plan) == expected[3]
 
     @pytest.mark.parametrize("required", [1e-7, 1e-9, 1e-14])
     def test_distance_dependent_units(self, small_scheme, required):
@@ -268,6 +286,22 @@ class TestSearchMatchesOracle:
         assert expected is not None
         assert plan.physical_qubits_per_copy == expected[0]
         assert plan.duration_per_run == pytest.approx(expected[1])
+        assert len(plan.rounds) == expected[2]
+        assert chosen_rounds(plan) == expected[3]
+
+    @pytest.mark.parametrize("required", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_logical_only_units(self, small_scheme, required):
+        # no physical-level option: every round runs at a distance >= 3
+        units = (LOGICAL_15_TO_1, DISTANCE_AWARE)
+        params = majorana_params(t_gate_error_rate=1e-3)
+        expected = oracle_search(units, small_scheme, params, 1e-3, required)
+        plan = search_pipeline(units, small_scheme, params, 1e-3, required)
+        assert expected is not None
+        assert plan.physical_qubits_per_copy == expected[0]
+        assert plan.duration_per_run == pytest.approx(expected[1])
+        assert len(plan.rounds) == expected[2]
+        assert chosen_rounds(plan) == expected[3]
+        assert all(d >= 3 for _, d in chosen_rounds(plan))
 
     def test_infeasible_agrees_with_oracle(self, small_scheme):
         units = (DEFAULT_15_TO_1,)
