@@ -6,7 +6,10 @@ from configurable formulas.  The pipeline search chains up to
 ``max_rounds`` units, feeding each round's output error into the next,
 and keeps the cheapest chain (fewest physical qubits per factory copy,
 then shortest run, then fewest rounds) that reaches the required T-state
-fidelity.
+fidelity.  One depth-first search covers every unit set: a unit whose
+error formulas ignore the code distance contributes one branch per round
+with its distance chosen when the chain is scored, any other unit one
+branch per allowed distance.
 
 Within one factory copy the rounds execute sequentially, so the copy's
 footprint is its widest round and its run duration is the sum of the
@@ -16,7 +19,6 @@ costs ``duration / (1 - f)`` on average (retry-until-success).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -46,7 +48,8 @@ __all__ = [
     "MAX_UNITS",
 ]
 
-#: Cap on the unit list so the exhaustive search stays instant.
+#: Cap on the unit list.  It bounds the search, whose work grows with the
+#: number of branches per round raised to the number of rounds.
 MAX_UNITS = 8
 
 
@@ -381,126 +384,92 @@ def _build_plan(
     )
 
 
-def _search_distance_free(
+def _search(
     units: Sequence[DistillationUnit],
     coster: _RoundCoster,
     input_error: float,
     required_error: float,
     max_rounds: int,
-) -> Optional[tuple[tuple, TFactoryPlan]]:
-    """Search when no unit's error formulas depend on the code distance.
+) -> Optional[TFactoryPlan]:
+    """Depth-first search over chains of up to ``max_rounds`` rounds.
 
-    The error chain then depends only on the unit sequence, so distances
-    can be optimized independently: the minimal feasible footprint cap is
-    ``max_k min_d qubits_k(d)``, and under that cap each round picks its
-    cheapest-duration option.  This returns the same optimum as full
-    enumeration of (unit, distance) chains.
+    Each branch appends one round to the chain and shares the prefix's
+    work.  A unit whose error formulas ignore the code distance has the
+    same failure and output error at every distance, so its round is one
+    branch that keeps every allowed distance as an option; any other unit
+    branches once per allowed distance.  A chain that reaches the target
+    is scored, never extended: another round can only widen the copy and
+    lengthen the run.
+
+    Scoring a chain: the narrowest feasible copy is
+    ``cap = max_k min_d parallel_k * qubits_k(d)``, and under that cap each
+    round independently takes its option with the least
+    ``(duration, qubits, distance)``.  This gives the same optimum as
+    trying every distance combination.  Chains are ranked by the key
+    ``(cap, total duration, rounds)``; among equal keys the first chain
+    in search order wins, i.e. the one that comes first when rounds are
+    compared in unit-list order, then by ascending distance for units
+    that branch per distance.
     """
-    best: Optional[tuple[tuple, TFactoryPlan]] = None
     max_distance = coster.scheme.max_code_distance
-    for length in range(1, max_rounds + 1):
-        for sequence in itertools.product(units, repeat=length):
-            error = input_error
-            failures: list[float] = []
-            inputs: list[float] = []
-            ok = True
-            for unit in sequence:
-                inputs.append(error)
-                result = coster.transfer(unit, coster.error_free_env(error))
-                if result is None:
-                    ok = False
-                    break
-                failure, error = result
-                failures.append(failure)
-            if not ok or error > required_error:
+    # (unit, distance it is pinned to or None, distance options)
+    branches = []
+    for unit in units:
+        distances = unit.allowed_distances(max_distance)
+        if _distance_free(unit):
+            branches.append((unit, None, distances))
+        else:
+            branches.extend((unit, d, (d,)) for d in distances)
+
+    best_key: Optional[tuple] = None
+    best_plan: Optional[TFactoryPlan] = None
+    # per round: (unit, options as (expected duration, unit qubits, distance))
+    chain: list[tuple[DistillationUnit, list[tuple[float, int, int]]]] = []
+
+    def score(output_error: float) -> None:
+        nonlocal best_key, best_plan
+        sequence = [unit for unit, _ in chain]
+        parallel = _parallel_units(sequence)
+        cap = max(m * min(q for _, q, _ in opts) for m, (_, opts) in zip(parallel, chain))
+        picks = [
+            min(o for o in opts if m * o[1] <= cap) for m, (_, opts) in zip(parallel, chain)
+        ]
+        total_duration = sum(duration for duration, _, _ in picks)
+        key = (cap, total_duration, len(chain))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_plan = _build_plan(
+                sequence, [d for _, _, d in picks], parallel, output_error, cap, total_duration
+            )
+
+    def visit(error: float) -> None:
+        for unit, pinned, distances in branches:
+            env = coster.error_free_env(error) if pinned is None else coster.env(pinned, error)
+            if env is None:
                 continue
-            parallel = _parallel_units(sequence)
-            options: list[list[tuple[int, float, int]]] = []
-            for k, unit in enumerate(sequence):
-                opts = []
-                for d in unit.allowed_distances(max_distance):
-                    cost = coster.cost(unit, d, inputs[k], failures[k])
-                    if cost is None:
-                        continue
-                    qubits, duration = cost
-                    opts.append((parallel[k] * qubits, duration, d))
-                if not opts:
-                    ok = False
-                    break
-                options.append(opts)
-            if not ok:
+            result = coster.transfer(unit, env)
+            if result is None:
                 continue
-            cap = max(min(q for q, _, _ in opts) for opts in options)
-            distances: list[int] = []
-            total_duration = 0.0
-            for opts in options:
-                _, duration, d = min(
-                    ((q, dur, d) for q, dur, d in opts if q <= cap),
-                    key=lambda o: (o[1], o[0], o[2]),
-                )
-                distances.append(d)
-                total_duration += duration
-            key = (cap, total_duration, length)
-            if best is None or key < best[0]:
-                plan = _build_plan(sequence, distances, parallel, error, cap, total_duration)
-                best = (key, plan)
-    return best
-
-
-def _search_exhaustive(
-    units: Sequence[DistillationUnit],
-    coster: _RoundCoster,
-    input_error: float,
-    required_error: float,
-    max_rounds: int,
-) -> Optional[tuple[tuple, TFactoryPlan]]:
-    """Full enumeration over (unit, distance) chains up to ``max_rounds``."""
-    best: Optional[tuple[tuple, TFactoryPlan]] = None
-    max_distance = coster.scheme.max_code_distance
-
-    # chain entries: (unit, distance, input error, output error, unit qubits, duration)
-    def visit(chain: list[tuple], error: float) -> None:
-        nonlocal best
-        for unit in units:
-            for d in unit.allowed_distances(max_distance):
-                env = coster.env(d, error)
-                if env is None:
-                    continue
-                result = coster.transfer(unit, env)
-                if result is None:
-                    continue
-                failure, output = result
+            failure, output = result
+            options = []
+            for d in distances:
                 cost = coster.cost(unit, d, error, failure)
-                if cost is None:
-                    continue
-                qubits, duration = cost
-                # any completion needs at least one unit per round
-                if best is not None and qubits > best[0][0]:
-                    continue
-                entry = (unit, d, error, output, qubits, duration)
-                chain.append(entry)
-                if output <= required_error:
-                    sequence = [e[0] for e in chain]
-                    parallel = _parallel_units(sequence)
-                    copy_qubits = max(m * e[4] for m, e in zip(parallel, chain))
-                    total_duration = sum(e[5] for e in chain)
-                    key = (copy_qubits, total_duration, len(chain))
-                    if best is None or key < best[0]:
-                        plan = _build_plan(
-                            sequence,
-                            [e[1] for e in chain],
-                            parallel,
-                            output,
-                            copy_qubits,
-                            total_duration,
-                        )
-                        best = (key, plan)
-                if len(chain) < max_rounds:
-                    visit(chain, output)
-                chain.pop()
+                if cost is not None:
+                    options.append((cost[1], cost[0], d))
+            # any completion needs at least one unit per round
+            if not options or (
+                best_key is not None and min(q for _, q, _ in options) > best_key[0]
+            ):
+                continue
+            chain.append((unit, options))
+            if output <= required_error:
+                score(output)
+            elif len(chain) < max_rounds:
+                visit(output)
+            chain.pop()
 
-    visit([], input_error)
-    return best
+    visit(input_error)
+    return best_plan
 
 
 def search_pipeline(
@@ -513,10 +482,12 @@ def search_pipeline(
 ) -> TFactoryPlan:
     """Find the cheapest distillation chain reaching the required error.
 
-    Enumerates 1 to ``max_rounds`` rounds, each round any unit at any
-    allowed code distance, chaining output error into the next round's
-    input.  Among feasible chains the winner minimizes physical qubits
-    per copy, then run duration, then round count.  Raises
+    Considers every chain of 1 to ``max_rounds`` rounds, each round any
+    unit at any allowed code distance, chaining output error into the
+    next round's input.  Among feasible chains the winner minimizes
+    physical qubits per copy, then run duration, then round count; the
+    search is exact because it only skips chains that are provably worse
+    (see :func:`_search` for the tie rule).  Raises
     :class:`NoFeasiblePipelineError` when nothing reaches the target.
     """
     if not units:
@@ -530,17 +501,13 @@ def search_pipeline(
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
 
-    coster = _RoundCoster(scheme, params)
-    if all(_distance_free(u) for u in units):
-        best = _search_distance_free(units, coster, input_error, required_error, max_rounds)
-    else:
-        best = _search_exhaustive(units, coster, input_error, required_error, max_rounds)
-    if best is None:
+    plan = _search(units, _RoundCoster(scheme, params), input_error, required_error, max_rounds)
+    if plan is None:
         raise NoFeasiblePipelineError(
             f"no distillation chain of <= {max_rounds} rounds reaches error "
             f"{required_error:g} from input error {input_error:g}"
         )
-    return best[1]
+    return plan
 
 
 def size_fleet(
