@@ -95,6 +95,10 @@ class PhysicalQubitParams:
     idle_error_rate: Optional[float] = None
 
     def __post_init__(self):
+        for attr, key in _TIME_KEYS.items():
+            value = getattr(self, attr)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         for attr in _REQUIRED_TIMES[self.instruction_set]:
             value = getattr(self, attr)
             if value is None or value <= 0:

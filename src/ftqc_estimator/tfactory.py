@@ -53,6 +53,17 @@ __all__ = [
 MAX_UNITS = 8
 
 
+def _whole_number(key: str, value) -> int:
+    """A count read from JSON; fractions are rejected, not truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 class Applicability(str, Enum):
     PHYSICAL_ONLY = "physicalOnly"
     LOGICAL_ONLY = "logicalOnly"
@@ -132,8 +143,8 @@ class DistillationUnit:
             ) from None
         return cls.from_strings(
             name=data["name"],
-            num_input_ts=int(data["numInputTs"]),
-            num_output_ts=int(data["numOutputTs"]),
+            num_input_ts=_whole_number("numInputTs", data["numInputTs"]),
+            num_output_ts=_whole_number("numOutputTs", data["numOutputTs"]),
             failure_probability=data["failureProbabilityFormula"],
             output_error_rate=data["outputErrorRateFormula"],
             physical_qubits=data["physicalQubitsFormula"],
@@ -256,14 +267,16 @@ class TFactoryConstraints:
                 raise ConfigError(f"unknown T factory constraint {key!r}")
         copies = data.get("maxTFactoryCopies")
         slowdown = data.get("maxLogicalCycleSlowdown")
-        if copies is not None and int(copies) < 1:
-            raise ConfigError(f"maxTFactoryCopies must be >= 1, got {copies!r}")
+        if copies is not None:
+            copies = _whole_number("maxTFactoryCopies", copies)
+            if copies < 1:
+                raise ConfigError(f"maxTFactoryCopies must be >= 1, got {copies!r}")
         if slowdown is not None and float(slowdown) < 1.0:
             raise ConfigError(
                 f"maxLogicalCycleSlowdown must be >= 1, got {slowdown!r}"
             )
         return cls(
-            max_t_factory_copies=None if copies is None else int(copies),
+            max_t_factory_copies=copies,
             max_logical_cycle_slowdown=None if slowdown is None else float(slowdown),
         )
 

@@ -127,19 +127,90 @@ class TestEstimateCommand:
     def test_inline_params_require_scheme(self, tmp_path, capsys):
         job = write_job(
             tmp_path,
-            qubitParams={
-                "instructionSet": "majorana",
-                "oneQubitMeasurementTime": 100.0,
-                "twoQubitMeasurementTime": 100.0,
-                "tGateTime": 100.0,
-                "cliffordErrorRate": 1e-4,
-                "readoutErrorRate": 1e-4,
-                "tGateErrorRate": 0.01,
-            },
+            qubitParams=MAJORANA_PARAMS,
         )
         code, _, err = run(capsys, "estimate", "--job", str(job))
         assert code == 2
         assert "qecScheme" in json.loads(err)["error"]["message"]
+
+
+MAJORANA_PARAMS = {
+    "instructionSet": "majorana",
+    "oneQubitMeasurementTime": 100.0,
+    "twoQubitMeasurementTime": 100.0,
+    "tGateTime": 100.0,
+    "cliffordErrorRate": 1e-4,
+    "readoutErrorRate": 1e-4,
+    "tGateErrorRate": 0.01,
+}
+
+UNIT_15_TO_1 = {
+    "name": "15-to-1",
+    "numInputTs": 15,
+    "numOutputTs": 1,
+    "failureProbabilityFormula": "15 * inputErrorRate",
+    "outputErrorRateFormula": "35 * inputErrorRate ^ 3",
+    "physicalQubitsFormula": "31 * physicalQubitsPerLogicalQubit",
+    "durationFormula": "11 * logicalCycleTime",
+}
+
+
+def assert_config_error(code, out, err, fragment):
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert fragment in error["message"]
+
+
+class TestNumericValidation:
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("tGateTime", "NaN"),
+            ("tGateTime", "1e999"),
+            ("oneQubitMeasurementTime", "NaN"),
+        ],
+    )
+    def test_non_finite_time_exits_2(self, tmp_path, capsys, key, literal):
+        # json.dumps cannot write 1e999, so the literal is spliced into the text
+        job = write_job(
+            tmp_path,
+            qubitParams=dict(MAJORANA_PARAMS, **{key: "@"}),
+            qecScheme="floquet_code",
+        )
+        job.write_text(job.read_text().replace('"@"', literal))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, key)
+
+    @pytest.mark.parametrize("key", ["numInputTs", "numOutputTs"])
+    def test_fractional_unit_count_exits_2(self, tmp_path, capsys, key):
+        unit = dict(UNIT_15_TO_1, **{key: UNIT_15_TO_1[key] + 0.9})
+        job = write_job(tmp_path, distillationUnits=[unit])
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, key)
+
+    def test_fractional_copy_limit_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, tFactoryConstraints={"maxTFactoryCopies": 2.7})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "maxTFactoryCopies")
+
+    def test_integral_floats_equal_integers(self, tmp_path, capsys):
+        as_int = write_job(
+            tmp_path,
+            "int.json",
+            distillationUnits=[UNIT_15_TO_1],
+            tFactoryConstraints={"maxTFactoryCopies": 100},
+        )
+        as_float = write_job(
+            tmp_path,
+            "float.json",
+            distillationUnits=[dict(UNIT_15_TO_1, numInputTs=15.0, numOutputTs=1.0)],
+            tFactoryConstraints={"maxTFactoryCopies": 100.0},
+        )
+        code, expected, err = run(capsys, "estimate", "--job", str(as_int))
+        assert code == 0, err
+        assert run(capsys, "estimate", "--job", str(as_float)) == (0, expected, "")
 
 
 class TestSweepCommand:
