@@ -158,12 +158,12 @@ def load_job(path: Union[str, Path]) -> JobSpec:
     return job_from_mapping(data, base_dir=path.parent)
 
 
-def run_job(job: JobSpec, slowdown: float = 1.0) -> EstimateReport:
-    """Execute one estimation job."""
+def _run(job: JobSpec, entry, **kwargs):
+    """Call a pipeline entry point with the job's counts and settings."""
     counts = job.logical_counts
     if job.trace_path is not None:
         counts = count_trace(read_trace(job.trace_path))
-    return pipeline.estimate(
+    return entry(
         counts,
         qubit_params=job.qubit_params,
         qec_scheme=job.qec_scheme,
@@ -172,23 +172,15 @@ def run_job(job: JobSpec, slowdown: float = 1.0) -> EstimateReport:
         constraints=job.constraints,
         rotation_synthesis=job.rotation_synthesis,
         post_layout=job.post_layout,
-        slowdown=slowdown,
+        **kwargs,
     )
+
+
+def run_job(job: JobSpec, slowdown: float = 1.0) -> EstimateReport:
+    """Execute one estimation job."""
+    return _run(job, pipeline.estimate, slowdown=slowdown)
 
 
 def run_frontier(job: JobSpec, slowdown_grid) -> pipeline.FrontierResult:
     """Execute one job across a slowdown grid."""
-    counts = job.logical_counts
-    if job.trace_path is not None:
-        counts = count_trace(read_trace(job.trace_path))
-    return pipeline.frontier(
-        counts,
-        slowdown_grid=slowdown_grid,
-        qubit_params=job.qubit_params,
-        qec_scheme=job.qec_scheme,
-        error_budget=job.error_budget,
-        distillation_units=job.distillation_units,
-        constraints=job.constraints,
-        rotation_synthesis=job.rotation_synthesis,
-        post_layout=job.post_layout,
-    )
+    return _run(job, pipeline.frontier, slowdown_grid=slowdown_grid)
