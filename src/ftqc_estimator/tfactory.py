@@ -355,8 +355,8 @@ class _RoundCoster:
 
     def cost(
         self, unit: DistillationUnit, distance: int, input_error: float, failure: float
-    ) -> Optional[tuple[int, float]]:
-        """(physical qubits of one unit, expected duration ns), or None."""
+    ) -> Optional[tuple[float, int]]:
+        """(expected duration ns, physical qubits of one unit), or None."""
         env = self.env(distance, input_error)
         if env is None:
             return None
@@ -364,7 +364,7 @@ class _RoundCoster:
         duration = formulas.evaluate(unit.duration, env)
         if qubits < 1.0 or duration <= 0.0:
             return None
-        return math.ceil(qubits), duration / (1.0 - failure)
+        return duration / (1.0 - failure), math.ceil(qubits)
 
 
 def _parallel_units(sequence: Sequence[DistillationUnit]) -> list[int]:
@@ -468,7 +468,7 @@ def _search(
             for d in distances:
                 cost = coster.cost(unit, d, error, failure)
                 if cost is not None:
-                    options.append((cost[1], cost[0], d))
+                    options.append((*cost, d))
             # any completion needs at least one unit per round
             if not options or (
                 best_key is not None and min(q for _, q, _ in options) > best_key[0]
