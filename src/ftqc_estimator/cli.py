@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import jobs, profiles
-from .errors import (
-    INFEASIBLE_ERRORS,
-    ConfigError,
-    EstimationStageError,
-    EstimatorError,
-)
+from .errors import INFEASIBLE_ERRORS, ConfigError, EstimatorError, read_file, read_number
 from .report import EstimateReport
 
 __all__ = ["main", "cmd_estimate", "cmd_sweep", "cmd_frontier", "cmd_profiles"]
@@ -60,24 +55,13 @@ def _write_text(path: Optional[str], text: str) -> None:
         Path(path).write_text(text)
 
 
-def _error_payload(exc: EstimatorError) -> dict:
-    cause = exc.cause if isinstance(exc, EstimationStageError) else exc
-    payload = {
-        "error": {
-            "type": type(cause).__name__,
-            "message": str(cause),
-        }
-    }
-    if isinstance(exc, EstimationStageError):
-        payload["error"]["stage"] = exc.stage
-    return payload
-
-
-def _exit_code_for(exc: EstimatorError) -> int:
-    cause = exc.cause if isinstance(exc, EstimationStageError) else exc
-    if isinstance(cause, INFEASIBLE_ERRORS):
-        return EXIT_INFEASIBLE
-    return EXIT_CONFIG
+def _failure(exc: EstimatorError) -> tuple[int, dict]:
+    """Exit code and description of a failure; a stage error is described by its cause."""
+    cause = getattr(exc, "cause", exc)
+    description = {"type": type(cause).__name__, "message": str(cause)}
+    if cause is not exc:
+        description["stage"] = exc.stage
+    return (EXIT_INFEASIBLE if isinstance(cause, INFEASIBLE_ERRORS) else EXIT_CONFIG), description
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
@@ -133,13 +117,9 @@ def cmd_sweep(
     """Run a job once per value of one numeric field and emit a CSV table."""
     if not values:
         raise ConfigError("sweep requires a non-empty values list")
-    try:
-        template = json.loads(Path(job_template_path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read job file {job_template_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"job file is not valid JSON: {exc.msg}") from exc
-    base_dir = Path(job_template_path).parent
+    path = Path(job_template_path)
+    template = read_file(path, "job file")
+    base_dir = path.parent
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -150,8 +130,8 @@ def cmd_sweep(
         try:
             report = jobs.run_job(jobs.job_from_mapping(document, base_dir))
         except EstimatorError as exc:
-            cause = exc.cause if isinstance(exc, EstimationStageError) else exc
-            writer.writerow([value, "", "", "", "", "", f"{type(cause).__name__}: {cause}"])
+            failure = _failure(exc)[1]
+            writer.writerow([value, "", "", "", "", "", f"{failure['type']}: {failure['message']}"])
             continue
         phys = report.physical_resource_estimates
         breakdown = report.resource_estimates_breakdown
@@ -180,10 +160,7 @@ def cmd_frontier(
     job = jobs.load_job(job_path)
     result = jobs.run_frontier(job, slowdown_grid)
     points = [p.as_mapping() for p in result.points]
-    errors = [
-        {"slowdown": s, "type": type(e).__name__, "message": str(e)}
-        for s, e in result.errors
-    ]
+    errors = [{"slowdown": s, **_failure(e)[1]} for s, e in result.errors]
     if fmt == "table":
         lines = ["slowdown,physicalQubits,runtime_ns"]
         lines += [f"{p['slowdown']},{p['physicalQubits']},{p['runtime']}" for p in points]
@@ -231,9 +208,10 @@ def cmd_profiles(fmt: str = "table", out_path: Optional[str] = None) -> int:
 
 def _parse_values(text: str) -> list[float]:
     try:
-        return [float(chunk) for chunk in text.split(",") if chunk.strip()]
+        values = [float(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+    return [read_number(value, f"each value in {text!r}") for value in values]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,8 +261,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_profiles(args.format, args.out)
         parser.error(f"unknown command {args.command!r}")
     except EstimatorError as exc:
-        sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
-        return _exit_code_for(exc)
+        code, description = _failure(exc)
+        sys.stderr.write(json.dumps({"error": description}) + "\n")
+        return code
     except Exception as exc:  # internal error: still machine readable
         sys.stderr.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"

@@ -25,6 +25,7 @@ from .errors import (
     InvalidCountsError,
     TraceFormatError,
     UseAfterReleaseError,
+    read_file,
 )
 
 __all__ = [
@@ -236,5 +237,5 @@ def parse_trace_lines(lines: Iterable[str], source: str = "<trace>") -> Iterator
 
 def read_trace(path: Union[str, Path]) -> list[TraceEvent]:
     """Read a whole trace file (one JSON event per line)."""
-    text = Path(path).read_text()
-    return list(parse_trace_lines(text.splitlines(), source=str(path)))
+    lines = read_file(Path(path), "trace file", str.splitlines)
+    return list(parse_trace_lines(lines, source=str(path)))

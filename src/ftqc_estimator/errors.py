@@ -7,6 +7,12 @@ programming mistakes with a single ``except`` clause.
 
 from __future__ import annotations
 
+import json
+import math
+from enum import Enum
+from numbers import Real
+from typing import Callable, Optional
+
 
 class EstimatorError(Exception):
     """Base class for all errors raised by this package."""
@@ -178,6 +184,62 @@ class EstimationStageError(EstimatorError):
 
 class ConfigError(EstimatorError):
     """Invalid job specification, profile, or command-line usage."""
+
+
+# Readers for decoded job, scheme, unit and profile JSON; each malformed
+# value ends as a ConfigError.
+
+
+def read_record(value, what: str, fields: Optional[frozenset] = None, required=frozenset()):
+    """``value`` as an object with every ``required`` key and no key outside ``fields``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    keys = value.keys()
+    if not keys >= required:
+        raise ConfigError(f"{what} is missing {', '.join(sorted(required - keys))}")
+    if fields is not None and not keys <= fields:
+        raise ConfigError(f"unknown {what} field(s): {', '.join(sorted(keys - fields))}")
+    return value
+
+
+def read_number(value, what: str, whole: bool = False):
+    """``value`` as a finite ``float``, or with ``whole`` as an ``int``.
+
+    Booleans and strings are not numbers; a fraction is not whole, 15.0 is.
+    """
+    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    if not whole:
+        return float(value)
+    if value != int(value):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def read_string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def read_choice(value, what: str, choices: type[Enum]):
+    """``value`` as a member of the string enum ``choices``."""
+    try:
+        return choices(value)
+    except ValueError:
+        expected = ", ".join(repr(choice.value) for choice in choices)
+        raise ConfigError(f"unknown {what} {value!r}; expected one of {expected}") from None
+
+
+def read_file(path, what: str, parse: Callable = json.loads):
+    """``parse`` applied to the UTF-8 text of the file at ``path`` (a path
+    object); a file that cannot be read or decoded is a ConfigError."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}") from exc
 
 
 #: Errors meaning "the requested machine cannot be built", as opposed to a

@@ -260,6 +260,8 @@ def parse_formula(source: str) -> FormulaExpr:
     problem) for malformed input and :class:`UnknownFunctionError` for a
     call to an unrecognized function.
     """
+    if not isinstance(source, str):
+        raise FormulaSyntaxError(0, f"a formula string, got {source!r}")
     return _Parser(source).parse()
 
 

@@ -9,14 +9,13 @@ rotation-synthesis constants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from . import pipeline, profiles
 from .counts import LogicalCounts, count_trace, read_trace
-from .errors import ConfigError
+from .errors import ConfigError, read_file, read_number, read_record, read_string
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .pipeline import ErrorBudget, PostLayoutInput
 from .qec import PhysicalQubitParams, QecScheme, get_scheme
@@ -25,17 +24,15 @@ from .tfactory import DistillationUnit, TFactoryConstraints
 
 __all__ = ["JobSpec", "load_job", "job_from_mapping", "run_job"]
 
-_JOB_FIELDS = {
-    "input",
-    "qubitParams",
+_JOB_REQUIRED = frozenset({"input", "qubitParams", "errorBudget"})
+_JOB_FIELDS = _JOB_REQUIRED | {
     "qecScheme",
-    "errorBudget",
     "distillationUnits",
     "tFactoryConstraints",
     "rotationSynthesis",
 }
-
-_INPUT_FIELDS = {"tracePath", "logicalCounts", "postLayout"}
+_INPUT_FIELDS = frozenset({"tracePath", "logicalCounts", "postLayout"})
+_SYNTHESIS_FIELDS = frozenset({"a", "b"})
 
 
 @dataclass(frozen=True)
@@ -53,22 +50,18 @@ class JobSpec:
     rotation_synthesis: RotationSynthesisConstants
 
 
-def _parse_input(data: dict, base_dir: Path):
-    if not isinstance(data, dict):
-        raise ConfigError("job 'input' must be an object")
-    present = _INPUT_FIELDS & data.keys()
-    unknown = data.keys() - _INPUT_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown input field(s): {', '.join(sorted(unknown))}")
-    if len(present) != 1:
+def _parse_input(data, base_dir: Path):
+    read_record(data, "input", _INPUT_FIELDS)
+    if len(data) != 1:
         raise ConfigError(
             "job input must carry exactly one of tracePath, logicalCounts, "
-            f"or postLayout; found {sorted(present) or 'none'}"
+            f"or postLayout; found {sorted(data) or 'none'}"
         )
     if "tracePath" in data:
-        return (base_dir / data["tracePath"], None, None)
+        return (base_dir / read_string(data["tracePath"], "tracePath"), None, None)
     if "logicalCounts" in data:
-        return (None, LogicalCounts.from_mapping(data["logicalCounts"]), None)
+        counts = read_record(data["logicalCounts"], "logicalCounts")
+        return (None, LogicalCounts.from_mapping(counts), None)
     return (None, None, PostLayoutInput.from_mapping(data["postLayout"]))
 
 
@@ -98,15 +91,7 @@ def _parse_scheme(value, profile_default: Optional[str]) -> QecScheme:
 
 def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
     """Validate a decoded job document; relative paths resolve against ``base_dir``."""
-    if not isinstance(data, dict):
-        raise ConfigError("job specification must be a JSON object")
-    unknown = data.keys() - _JOB_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown job field(s): {', '.join(sorted(unknown))}")
-    for required in ("input", "qubitParams", "errorBudget"):
-        if required not in data:
-            raise ConfigError(f"job specification is missing {required!r}")
-
+    read_record(data, "job", _JOB_FIELDS, _JOB_REQUIRED)
     trace_path, logical_counts, post_layout = _parse_input(data["input"], Path(base_dir))
     qubit_params, profile_scheme = _parse_qubit_params(data["qubitParams"])
     scheme = _parse_scheme(data.get("qecScheme"), profile_scheme)
@@ -125,12 +110,10 @@ def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
 
     synthesis = DEFAULT_SYNTHESIS
     if "rotationSynthesis" in data:
-        raw = data["rotationSynthesis"]
-        if not isinstance(raw, dict) or raw.keys() - {"a", "b"}:
-            raise ConfigError("rotationSynthesis must be an object with fields a and b")
+        raw = read_record(data["rotationSynthesis"], "rotationSynthesis", _SYNTHESIS_FIELDS)
         synthesis = RotationSynthesisConstants(
-            a=float(raw.get("a", DEFAULT_SYNTHESIS.a)),
-            b=float(raw.get("b", DEFAULT_SYNTHESIS.b)),
+            a=read_number(raw.get("a", DEFAULT_SYNTHESIS.a), "rotationSynthesis a"),
+            b=read_number(raw.get("b", DEFAULT_SYNTHESIS.b), "rotationSynthesis b"),
         )
 
     return JobSpec(
@@ -149,13 +132,7 @@ def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
 def load_job(path: Union[str, Path]) -> JobSpec:
     """Read and validate a job file."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read job file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"job file {path} is not valid JSON: {exc.msg}") from exc
-    return job_from_mapping(data, base_dir=path.parent)
+    return job_from_mapping(read_file(path, "job file"), base_dir=path.parent)
 
 
 def _run(job: JobSpec, entry, **kwargs):

@@ -22,6 +22,8 @@ from .errors import (
     EstimationStageError,
     EstimatorError,
     InvalidPartitionError,
+    read_number,
+    read_record,
 )
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .qec import PhysicalQubitParams, QecScheme
@@ -44,6 +46,11 @@ __all__ = [
 ]
 
 _PARTITION_TOLERANCE = 1e-12
+
+_BUDGET_FIELDS = frozenset({"total", "logical", "tStates", "rotations"})
+_BUDGET_REQUIRED = frozenset({"total"})
+_POST_LAYOUT_FIELDS = frozenset({"logicalQubitsPostLayout", "algorithmicDepth", "totalTStates"})
+_POST_LAYOUT_REQUIRED = frozenset({"logicalQubitsPostLayout", "algorithmicDepth"})
 
 ASSUMPTIONS = (
     "Logical error rate per cycle follows the crossing model "
@@ -98,20 +105,14 @@ class ErrorBudget:
     def from_value(cls, value: Union[float, "ErrorBudget", dict]) -> "ErrorBudget":
         if isinstance(value, ErrorBudget):
             return value
-        if isinstance(value, dict):
-            known = {"total", "logical", "tStates", "rotations"}
-            for key in value:
-                if key not in known:
-                    raise ConfigError(f"unknown error budget field {key!r}")
-            if "total" not in value:
-                raise ConfigError("error budget requires a total")
-            return cls(
-                total=float(value["total"]),
-                logical=None if value.get("logical") is None else float(value["logical"]),
-                t_states=None if value.get("tStates") is None else float(value["tStates"]),
-                rotations=None if value.get("rotations") is None else float(value["rotations"]),
-            )
-        return cls(total=float(value))
+        if not isinstance(value, dict):
+            return cls(total=read_number(value, "errorBudget"))
+        read_record(value, "errorBudget", _BUDGET_FIELDS, _BUDGET_REQUIRED)
+        parts = (
+            None if value.get(key) is None else read_number(value[key], f"errorBudget {key}")
+            for key in ("logical", "tStates", "rotations")
+        )
+        return cls(read_number(value["total"], "errorBudget total"), *parts)
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,13 @@ class PostLayoutInput:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PostLayoutInput":
-        known = {"logicalQubitsPostLayout", "algorithmicDepth", "totalTStates"}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown postLayout field {key!r}")
-        for key in ("logicalQubitsPostLayout", "algorithmicDepth"):
-            if key not in data:
-                raise ConfigError(f"postLayout input requires {key!r}")
+        read_record(data, "postLayout", _POST_LAYOUT_FIELDS, _POST_LAYOUT_REQUIRED)
         return cls(
-            logical_qubits_post_layout=int(data["logicalQubitsPostLayout"]),
-            algorithmic_depth=int(data["algorithmicDepth"]),
-            total_t_states=int(data.get("totalTStates", 0)),
+            logical_qubits_post_layout=read_number(
+                data["logicalQubitsPostLayout"], "logicalQubitsPostLayout", whole=True
+            ),
+            algorithmic_depth=read_number(data["algorithmicDepth"], "algorithmicDepth", whole=True),
+            total_t_states=read_number(data.get("totalTStates", 0), "totalTStates", whole=True),
         )
 
 
@@ -234,6 +231,8 @@ def estimate(
         logical_qubits = algorithmic.logical_qubits_post_layout
         depth = algorithmic.algorithmic_depth
         total_t = algorithmic.total_t_states
+        if logical_qubits < 1 or depth < 1:
+            raise ConfigError("nothing to estimate: the counts hold no qubits or no operations")
     else:
         # post-layout aggregates carry no feature flags; keep the plain
         # three-way split so explicit and default budgets agree
@@ -254,6 +253,8 @@ def estimate(
     base_runtime = depth * profile.logical_cycle_time * slowdown
 
     if total_t > 0:
+        if qubit_params.t_gate_error_rate <= 0.0:
+            raise ConfigError("tGateErrorRate must be positive when the program uses T states")
         with _stage("t-state-target"):
             t_target = tfactory.required_t_state_error(partition.t_states, total_t)
         with _stage("t-factory-pipeline"):

@@ -10,14 +10,13 @@ points the loader at a different directory.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, read_file, read_record, read_string
 from .qec import PhysicalQubitParams
 
 __all__ = [
@@ -39,6 +38,9 @@ BUILTIN_PROFILE_NAMES = (
     "qubit_maj_ns_e6",
 )
 
+_PROFILE_REQUIRED = frozenset({"name", "qubitParams", "defaultQecScheme"})
+_PROFILE_FIELDS = _PROFILE_REQUIRED | {"description"}
+
 
 @dataclass(frozen=True)
 class HardwareProfile:
@@ -57,14 +59,12 @@ class HardwareProfile:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "HardwareProfile":
-        for key in ("name", "qubitParams", "defaultQecScheme"):
-            if key not in data:
-                raise ConfigError(f"hardware profile is missing {key!r}")
+        read_record(data, "hardware profile", _PROFILE_FIELDS, _PROFILE_REQUIRED)
         return cls(
-            name=data["name"],
-            description=data.get("description", ""),
+            name=read_string(data["name"], "profile name"),
+            description=read_string(data.get("description", ""), "profile description"),
             qubit_params=PhysicalQubitParams.from_mapping(data["qubitParams"]),
-            default_scheme_name=data["defaultQecScheme"],
+            default_scheme_name=read_string(data["defaultQecScheme"], "defaultQecScheme"),
         )
 
 
@@ -73,33 +73,21 @@ def _override_dir() -> Optional[Path]:
     return Path(value) if value else None
 
 
-def _load_file(path: Path) -> HardwareProfile:
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read profile {path}: {exc}") from exc
-    return HardwareProfile.from_mapping(data)
-
-
-def _builtin_text(name: str) -> str:
-    resource = resources.files(__package__).joinpath(f"profiles/{name}.json")
-    return resource.read_text()
+def _load_file(path) -> HardwareProfile:
+    return HardwareProfile.from_mapping(read_file(path, "profile"))
 
 
 def load_profile(name: str) -> HardwareProfile:
     """Load a profile by name from the active profile directory."""
     override = _override_dir()
     if override is not None:
-        path = override / f"{name}.json"
-        if not path.is_file():
-            raise ConfigError(f"no profile {name!r} in {override}")
-        return _load_file(path)
+        return _load_file(override / f"{name}.json")
     if name not in BUILTIN_PROFILE_NAMES:
         raise ConfigError(
             f"unknown hardware profile {name!r}; built-ins: "
             + ", ".join(BUILTIN_PROFILE_NAMES)
         )
-    return HardwareProfile.from_mapping(json.loads(_builtin_text(name)))
+    return _load_file(resources.files(__package__).joinpath(f"profiles/{name}.json"))
 
 
 def list_profiles() -> list[HardwareProfile]:

@@ -16,7 +16,15 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from . import formulas
-from .errors import AboveThresholdError, ConfigError, DistanceExhaustedError
+from .errors import (
+    AboveThresholdError,
+    ConfigError,
+    DistanceExhaustedError,
+    read_choice,
+    read_number,
+    read_record,
+    read_string,
+)
 from .formulas import FormulaExpr
 
 __all__ = [
@@ -71,6 +79,9 @@ _RATE_KEYS = {
     "t_gate_error_rate": "tGateErrorRate",
     "idle_error_rate": "idleErrorRate",
 }
+
+_QUBIT_FIELDS = frozenset({"instructionSet", *_TIME_KEYS.values(), *_RATE_KEYS.values()})
+_QUBIT_REQUIRED = frozenset({"instructionSet"})
 
 
 @dataclass(frozen=True)
@@ -132,23 +143,13 @@ class PhysicalQubitParams:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "PhysicalQubitParams":
-        if "instructionSet" not in data:
-            raise ConfigError("qubit parameters require an instructionSet")
-        try:
-            instruction_set = InstructionSet(data["instructionSet"])
-        except ValueError:
-            raise ConfigError(
-                f"unknown instruction set {data['instructionSet']!r}; "
-                f"expected 'gateBased' or 'majorana'"
-            ) from None
+        read_record(data, "qubitParams", _QUBIT_FIELDS, _QUBIT_REQUIRED)
+        instruction_set = read_choice(data["instructionSet"], "instructionSet", InstructionSet)
         kwargs: dict = {"instruction_set": instruction_set}
-        known = {**_TIME_KEYS, **_RATE_KEYS}
-        for attr, key in known.items():
-            if key in data and data[key] is not None:
-                kwargs[attr] = float(data[key])
-        for key in data:
-            if key != "instructionSet" and key not in known.values():
-                raise ConfigError(f"unknown qubit parameter field {key!r}")
+        for keys in (_TIME_KEYS, _RATE_KEYS):
+            for attr, key in keys.items():
+                if data.get(key) is not None:
+                    kwargs[attr] = read_number(data[key], key)
         return cls(**kwargs)
 
 
@@ -163,6 +164,18 @@ def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
     if params.instruction_set is InstructionSet.MAJORANA and params.idle_error_rate is not None:
         rate = max(rate, params.idle_error_rate)
     return rate
+
+
+_SCHEME_REQUIRED = frozenset(
+    {
+        "name",
+        "crossingPrefactor",
+        "errorCorrectionThreshold",
+        "logicalCycleTime",
+        "physicalQubitsPerLogicalQubit",
+    }
+)
+_SCHEME_FIELDS = _SCHEME_REQUIRED | {"maxCodeDistance"}
 
 
 @dataclass(frozen=True)
@@ -220,23 +233,20 @@ class QecScheme:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "QecScheme":
-        required = (
-            "name",
-            "crossingPrefactor",
-            "errorCorrectionThreshold",
-            "logicalCycleTime",
-            "physicalQubitsPerLogicalQubit",
-        )
-        for key in required:
-            if key not in data:
-                raise ConfigError(f"QEC scheme definition is missing {key!r}")
+        read_record(data, "qecScheme", _SCHEME_FIELDS, _SCHEME_REQUIRED)
         return cls.from_strings(
-            name=data["name"],
-            crossing_prefactor=float(data["crossingPrefactor"]),
-            error_correction_threshold=float(data["errorCorrectionThreshold"]),
-            logical_cycle_time=data["logicalCycleTime"],
-            physical_qubits_per_logical_qubit=data["physicalQubitsPerLogicalQubit"],
-            max_code_distance=int(data.get("maxCodeDistance", 51)),
+            name=read_string(data["name"], "qecScheme name"),
+            crossing_prefactor=read_number(data["crossingPrefactor"], "crossingPrefactor"),
+            error_correction_threshold=read_number(
+                data["errorCorrectionThreshold"], "errorCorrectionThreshold"
+            ),
+            logical_cycle_time=read_string(data["logicalCycleTime"], "logicalCycleTime"),
+            physical_qubits_per_logical_qubit=read_string(
+                data["physicalQubitsPerLogicalQubit"], "physicalQubitsPerLogicalQubit"
+            ),
+            max_code_distance=read_number(
+                data.get("maxCodeDistance", 51), "maxCodeDistance", whole=True
+            ),
         )
 
     def as_mapping(self) -> dict:
@@ -369,9 +379,9 @@ def evaluate_scheme_formulas(
     env["codeDistance"] = float(code_distance)
     cycle_time = formulas.evaluate(scheme.logical_cycle_time, env)
     footprint = formulas.evaluate(scheme.physical_qubits_per_logical_qubit, env)
-    if cycle_time <= 0.0 or footprint <= 0.0:
+    if not (0.0 < cycle_time < math.inf and 0.0 < footprint < math.inf):
         raise ConfigError(
-            f"scheme {scheme.name!r} formulas must be positive at distance "
+            f"scheme {scheme.name!r} formulas must be positive and finite at distance "
             f"{code_distance}: cycle {cycle_time!r}, footprint {footprint!r}"
         )
     return cycle_time, math.ceil(footprint)

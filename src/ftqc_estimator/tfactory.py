@@ -30,6 +30,10 @@ from .errors import (
     FactoryConstraintInfeasibleError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
+    read_choice,
+    read_number,
+    read_record,
+    read_string,
 )
 from .formulas import FormulaExpr
 from .qec import PhysicalQubitParams, QecScheme, evaluate_scheme_formulas
@@ -52,16 +56,16 @@ __all__ = [
 #: number of branches per round raised to the number of rounds.
 MAX_UNITS = 8
 
-
-def _whole_number(key: str, value) -> int:
-    """A count read from JSON; fractions are rejected, not truncated."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+# in the order of the formula parameters of DistillationUnit.from_strings
+_FORMULA_FIELDS = (
+    "failureProbabilityFormula",
+    "outputErrorRateFormula",
+    "physicalQubitsFormula",
+    "durationFormula",
+)
+_UNIT_REQUIRED = frozenset({"name", "numInputTs", "numOutputTs", *_FORMULA_FIELDS})
+_UNIT_FIELDS = _UNIT_REQUIRED | {"applicability"}
+_CONSTRAINT_FIELDS = frozenset({"maxTFactoryCopies", "maxLogicalCycleSlowdown"})
 
 
 class Applicability(str, Enum):
@@ -122,34 +126,14 @@ class DistillationUnit:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "DistillationUnit":
-        required = (
-            "name",
-            "numInputTs",
-            "numOutputTs",
-            "failureProbabilityFormula",
-            "outputErrorRateFormula",
-            "physicalQubitsFormula",
-            "durationFormula",
-        )
-        for key in required:
-            if key not in data:
-                raise ConfigError(f"distillation unit definition is missing {key!r}")
-        try:
-            applicability = Applicability(data.get("applicability", "both"))
-        except ValueError:
-            raise ConfigError(
-                f"unknown applicability {data['applicability']!r}; expected "
-                "'physicalOnly', 'logicalOnly', or 'both'"
-            ) from None
+        read_record(data, "distillation unit", _UNIT_FIELDS, _UNIT_REQUIRED)
+        applicability = data.get("applicability", "both")
         return cls.from_strings(
-            name=data["name"],
-            num_input_ts=_whole_number("numInputTs", data["numInputTs"]),
-            num_output_ts=_whole_number("numOutputTs", data["numOutputTs"]),
-            failure_probability=data["failureProbabilityFormula"],
-            output_error_rate=data["outputErrorRateFormula"],
-            physical_qubits=data["physicalQubitsFormula"],
-            duration=data["durationFormula"],
-            applicability=applicability,
+            read_string(data["name"], "distillation unit name"),
+            read_number(data["numInputTs"], "numInputTs", whole=True),
+            read_number(data["numOutputTs"], "numOutputTs", whole=True),
+            *(read_string(data[key], key) for key in _FORMULA_FIELDS),
+            applicability=read_choice(applicability, "applicability", Applicability),
         )
 
     def as_mapping(self) -> dict:
@@ -261,24 +245,18 @@ class TFactoryConstraints:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TFactoryConstraints":
-        known = {"maxTFactoryCopies", "maxLogicalCycleSlowdown"}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown T factory constraint {key!r}")
+        read_record(data, "tFactoryConstraints", _CONSTRAINT_FIELDS)
         copies = data.get("maxTFactoryCopies")
         slowdown = data.get("maxLogicalCycleSlowdown")
         if copies is not None:
-            copies = _whole_number("maxTFactoryCopies", copies)
+            copies = read_number(copies, "maxTFactoryCopies", whole=True)
             if copies < 1:
                 raise ConfigError(f"maxTFactoryCopies must be >= 1, got {copies!r}")
-        if slowdown is not None and float(slowdown) < 1.0:
-            raise ConfigError(
-                f"maxLogicalCycleSlowdown must be >= 1, got {slowdown!r}"
-            )
-        return cls(
-            max_t_factory_copies=copies,
-            max_logical_cycle_slowdown=None if slowdown is None else float(slowdown),
-        )
+        if slowdown is not None:
+            slowdown = read_number(slowdown, "maxLogicalCycleSlowdown")
+            if slowdown < 1.0:
+                raise ConfigError(f"maxLogicalCycleSlowdown must be >= 1, got {slowdown!r}")
+        return cls(max_t_factory_copies=copies, max_logical_cycle_slowdown=slowdown)
 
 
 def required_t_state_error(error_budget_t_states: float, total_t_states: int) -> float:
@@ -362,7 +340,8 @@ class _RoundCoster:
             return None
         qubits = formulas.evaluate(unit.physical_qubits, env)
         duration = formulas.evaluate(unit.duration, env)
-        if qubits < 1.0 or duration <= 0.0:
+        # an overflowed or NaN cost makes the round unavailable, as a non-positive one does
+        if not (1.0 <= qubits < math.inf and 0.0 < duration < math.inf):
             return None
         return duration / (1.0 - failure), math.ceil(qubits)
 

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes, and overrides."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from ftqc_estimator import cli
 from ftqc_estimator.layout import layout_qubits
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_job(tmp_path, name="job.json", **fields):
@@ -155,6 +159,18 @@ UNIT_15_TO_1 = {
 }
 
 
+SURFACE_SCHEME = {
+    "name": "surface_code",
+    "crossingPrefactor": 0.03,
+    "errorCorrectionThreshold": 0.01,
+    "logicalCycleTime": "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance",
+    "physicalQubitsPerLogicalQubit": "2 * codeDistance ^ 2",
+    "maxCodeDistance": 25,
+}
+
+POST_LAYOUT = {"logicalQubitsPostLayout": 100, "algorithmicDepth": 2000, "totalTStates": 50000}
+
+
 def assert_config_error(code, out, err, fragment):
     assert code == 2
     assert out == ""
@@ -211,6 +227,83 @@ class TestNumericValidation:
         code, expected, err = run(capsys, "estimate", "--job", str(as_int))
         assert code == 0, err
         assert run(capsys, "estimate", "--job", str(as_float)) == (0, expected, "")
+
+    def test_nan_slowdown_cap_exits_2(self, tmp_path, capsys):
+        # NaN compares false with every slowdown, so it would switch the cap off
+        job = write_job(
+            tmp_path,
+            tFactoryConstraints={"maxTFactoryCopies": 1, "maxLogicalCycleSlowdown": math.nan},
+        )
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "maxLogicalCycleSlowdown")
+
+    @pytest.mark.parametrize("key", sorted(POST_LAYOUT))
+    def test_fractional_post_layout_count_exits_2(self, tmp_path, capsys, key):
+        post_layout = dict(POST_LAYOUT, **{key: POST_LAYOUT[key] + 0.5})
+        job = write_job(tmp_path, input={"postLayout": post_layout})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, key)
+
+    def test_integral_post_layout_floats_equal_integers(self, tmp_path, capsys):
+        as_int = write_job(tmp_path, "int.json", input={"postLayout": POST_LAYOUT})
+        as_float = write_job(
+            tmp_path,
+            "float.json",
+            input={"postLayout": {key: float(value) for key, value in POST_LAYOUT.items()}},
+        )
+        code, expected, err = run(capsys, "estimate", "--job", str(as_int))
+        assert code == 0, err
+        assert run(capsys, "estimate", "--job", str(as_float)) == (0, expected, "")
+
+    def test_fractional_max_code_distance_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, qecScheme=dict(SURFACE_SCHEME, maxCodeDistance=25.5))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "maxCodeDistance")
+
+    def test_nan_crossing_prefactor_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, qecScheme=dict(SURFACE_SCHEME, crossingPrefactor=math.nan))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "crossingPrefactor")
+
+    @pytest.mark.parametrize("value", [True, "100"])
+    def test_time_must_be_a_json_number(self, tmp_path, capsys, value):
+        job = write_job(
+            tmp_path,
+            qubitParams=dict(MAJORANA_PARAMS, tGateTime=value),
+            qecScheme="floquet_code",
+        )
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "tGateTime")
+
+
+class TestUnreadableFiles:
+    NOT_UTF8 = b'{"name": "\xff"}\n'
+
+    def test_missing_trace_file_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, input={"tracePath": "absent.jsonl"})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "absent.jsonl")
+
+    def test_non_utf8_job_file_exits_2(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_bytes(self.NOT_UTF8)
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "job.json")
+
+    def test_non_utf8_trace_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trace.jsonl").write_bytes(b'{"op": "alloc", "q": [0]}\n\xff\n')
+        job = write_job(tmp_path, input={"tracePath": "trace.jsonl"})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "trace.jsonl")
+
+    def test_non_utf8_override_profile_exits_2(self, tmp_path, capsys, monkeypatch):
+        profile_dir = tmp_path / "profiles"
+        profile_dir.mkdir()
+        (profile_dir / "bespoke.json").write_bytes(self.NOT_UTF8)
+        monkeypatch.setenv("FTQC_PROFILE_DIR", str(profile_dir))
+        job = write_job(tmp_path, qubitParams="bespoke")
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "bespoke.json")
 
 
 class TestSweepCommand:
@@ -324,6 +417,17 @@ class TestFrontierCommand:
         assert code == 0
         assert out.splitlines()[0] == "slowdown,physicalQubits,runtime_ns"
 
+    def test_error_rows_describe_failures_as_estimate_does(self, capsys):
+        job = str(GOLDEN / "no_feasible_pipeline.json")
+        code, _, err = run(capsys, "estimate", "--job", job)
+        assert code == 3
+        failure = json.loads(err)["error"]
+        code, out, err = run(capsys, "frontier", "--job", job, "--slowdown-grid", "1,2")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["points"] == []
+        assert payload["errors"] == [{"slowdown": s, **failure} for s in (1.0, 2.0)]
+
 
 class TestProfilesCommand:
     def test_lists_six_builtins(self, capsys):
@@ -395,6 +499,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
         assert excinfo.value.code != 0
+
+    @pytest.mark.parametrize("grid", ["nan", "1,inf"])
+    def test_non_finite_numeric_list(self, tmp_path, capsys, grid):
+        job = write_job(tmp_path)
+        code, out, err = run(capsys, "frontier", "--job", str(job), "--slowdown-grid", grid)
+        assert_config_error(code, out, err, "finite")
 
     def test_bad_numeric_list(self, tmp_path, capsys):
         job = write_job(tmp_path)

@@ -74,6 +74,8 @@ class TestParsing:
             ("ceil(3", 6),
             ("1 2", 2),
             ("foo bar", 4),
+            (5, 0),
+            (None, 0),
         ],
     )
     def test_syntax_error_positions(self, source, position):

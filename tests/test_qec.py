@@ -201,6 +201,14 @@ class TestLogicalQubitProfile:
         with pytest.raises(ValueError):
             logical_qubit_profile(SURFACE_CODE, gate_params(), 53)
 
+    @pytest.mark.parametrize(
+        "cycle, footprint", [("1e300 * 1e300", "codeDistance"), ("codeDistance", "1e300 * 1e300")]
+    )
+    def test_overflowing_formula_is_config_error(self, cycle, footprint):
+        scheme = QecScheme.from_strings("huge", 0.03, 0.01, cycle, footprint)
+        with pytest.raises(ConfigError):
+            evaluate_scheme_formulas(scheme, gate_params(), 3)
+
     def test_footprint_is_ceiling_of_formula(self):
         scheme = QecScheme.from_strings("frac", 0.03, 0.01, "codeDistance", "1.5 * codeDistance")
         _, footprint = evaluate_scheme_formulas(scheme, gate_params(), 3)

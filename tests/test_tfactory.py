@@ -12,6 +12,7 @@ from ftqc_estimator.errors import (
     NoFeasiblePipelineError,
     RuntimeTooShortError,
 )
+from ftqc_estimator import formulas
 from ftqc_estimator.formulas import evaluate
 from ftqc_estimator.qec import FLOQUET_CODE, QecScheme, evaluate_scheme_formulas
 from ftqc_estimator.tfactory import (
@@ -116,6 +117,18 @@ class TestSearchPipeline:
         hot = majorana_params(t_gate_error_rate=0.08)
         with pytest.raises(NoFeasiblePipelineError):
             search_pipeline(default_units(), FLOQUET_CODE, hot, 0.08, 1e-6)
+
+    @pytest.mark.parametrize("field", ["physical_qubits", "duration"])
+    def test_overflowing_cost_invalidates_round(self, field):
+        huge = dataclasses.replace(
+            DEFAULT_15_TO_1, name="huge", **{field: formulas.parse_formula("1e300 * 1e300")}
+        )
+        with pytest.raises(NoFeasiblePipelineError):
+            search_pipeline((huge,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10)
+        plan = search_pipeline(
+            (huge, DEFAULT_15_TO_1), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
+        )
+        assert {r.unit.name for r in plan.rounds} == {"15-to-1"}
 
     def test_duration_includes_expected_retries(self):
         plan = search_pipeline(
