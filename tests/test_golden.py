@@ -34,6 +34,11 @@ CASES = {
     "copy_limit_slowdown": (),
     "frontier_custom_units": ("--slowdown-grid", "1,1.5,2,4,8"),
     "no_feasible_pipeline": (),
+    "above_threshold": (),
+    "distance_exhausted": (),
+    "frontier_sizing_fails_low": ("--slowdown-grid", "1,2,4,8,16,32,64"),
+    "frontier_t_free": ("--slowdown-grid", "1,2,4"),
+    "frontier_plan_fails_table": ("--slowdown-grid", "1,2", "--format", "table"),
 }
 
 
