@@ -68,8 +68,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
             _flatten(f"{prefix}.{key}" if prefix else key, item, rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 

@@ -8,7 +8,7 @@ programming mistakes with a single ``except`` clause.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from enum import Enum
 from numbers import Real
 from typing import Callable, Optional
@@ -205,9 +205,11 @@ def read_record(value, what: str, fields: Optional[frozenset] = None, required=f
 def read_number(value, what: str, whole: bool = False):
     """``value`` as a finite ``float``, or with ``whole`` as an ``int``.
 
-    Booleans and strings are not numbers; a fraction is not whole, 15.0 is.
+    Booleans and strings are not numbers; a fraction is not whole, 15.0 is;
+    an integer beyond float range is not finite.
     """
-    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+    is_number = isinstance(value, Real) and not isinstance(value, bool)
+    if not (is_number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     if not whole:
         return float(value)

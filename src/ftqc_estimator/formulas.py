@@ -370,6 +370,8 @@ def evaluate(expr: FormulaExpr, env: Mapping[str, float]) -> float:
         return -evaluate(expr.operand, env)
     if isinstance(expr, Call):
         arg = evaluate(expr.arg, env)
+        if expr.func in ("ceil", "floor") and not math.isfinite(arg):
+            raise FormulaDomainError(f"{expr.func} of non-finite value {arg!r}")
         if expr.func == "ceil":
             return float(math.ceil(arg))
         if expr.func == "floor":

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .counts import LogicalCounts
-from .errors import InvalidBudgetError
+from .errors import ConfigError, InvalidBudgetError
 
 __all__ = [
     "RotationSynthesisConstants",
@@ -85,8 +85,10 @@ def t_states_per_rotation(rotation_count: int, synthesis_budget: float, constant
         raise InvalidBudgetError(
             f"synthesis budget must be in (0, 1), got {synthesis_budget!r}"
         )
-    value = math.ceil(constants.a * math.log2(rotation_count / synthesis_budget) + constants.b)
-    return max(value, 1)
+    value = constants.a * math.log2(rotation_count / synthesis_budget) + constants.b
+    if not math.isfinite(value):
+        raise ConfigError(f"rotation synthesis cost {value!r} is not finite")
+    return max(math.ceil(value), 1)
 
 
 def _check_multiplier(counts: LogicalCounts, t_per_rotation: int) -> None:

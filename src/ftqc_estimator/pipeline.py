@@ -1,21 +1,26 @@
 """End-to-end estimation: logical counts to physical machine.
 
-The pipeline runs in a fixed order: partition the error budget, fix the
-rotation-synthesis multiplier, lay out the logical qubits, compute depth
-and T-state totals, derive the per-cycle logical error target, select
-the code distance, profile the logical qubit, size the T factory fleet,
-and total everything up including the rQOPS rate (logical qubits times
-logical clock speed).  Identical inputs produce byte-identical reports.
+Estimation is a plan plus fleet sizing.  The plan runs every stage that
+the slowdown does not change, in a fixed order: partition the error
+budget, fix the rotation-synthesis multiplier, lay out the logical
+qubits, compute depth and T-state totals, derive the per-cycle logical
+error target, select the code distance, profile the logical qubit, and
+search for the distillation chain.  Sizing then fits the T factory
+fleet to the runtime at one slowdown and totals everything up,
+including the rQOPS rate (logical qubits times logical clock speed).
+:func:`estimate` plans and sizes once; :func:`frontier` plans once and
+sizes at each grid factor.  Identical inputs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import layout
-from . import qec, tfactory
+from . import layout, qec, tfactory
 from .counts import LogicalCounts
 from .errors import (
     ConfigError,
@@ -88,8 +93,7 @@ class ErrorBudget:
     def __post_init__(self):
         if not 0.0 < self.total < 1.0:
             raise ConfigError(f"error budget total must be in (0, 1), got {self.total!r}")
-        parts = (self.logical, self.t_states, self.rotations)
-        given = [p for p in parts if p is not None]
+        given = [p for p in (self.logical, self.t_states, self.rotations) if p is not None]
         if given and len(given) != 3:
             raise InvalidPartitionError(
                 "either give all of logical, tStates, and rotations, or none"
@@ -139,13 +143,8 @@ class PostLayoutInput:
     @classmethod
     def from_mapping(cls, data: dict) -> "PostLayoutInput":
         read_record(data, "postLayout", _POST_LAYOUT_FIELDS, _POST_LAYOUT_REQUIRED)
-        return cls(
-            logical_qubits_post_layout=read_number(
-                data["logicalQubitsPostLayout"], "logicalQubitsPostLayout", whole=True
-            ),
-            algorithmic_depth=read_number(data["algorithmicDepth"], "algorithmicDepth", whole=True),
-            total_t_states=read_number(data.get("totalTStates", 0), "totalTStates", whole=True),
-        )
+        keys = ("logicalQubitsPostLayout", "algorithmicDepth", "totalTStates")
+        return cls(*(read_number(data.get(key, 0), key, whole=True) for key in keys))
 
 
 def partition_budget(
@@ -164,18 +163,11 @@ def partition_budget(
             raise InvalidPartitionError(
                 f"explicit parts sum to {total!r}, expected {budget.total!r}"
             )
-        return BudgetPartition(
-            total=budget.total,
-            logical=budget.logical,
-            t_states=budget.t_states,
-            rotations=budget.rotations,
-        )
+        return BudgetPartition(budget.total, budget.logical, budget.t_states, budget.rotations)
     t_share = budget.total / 3.0 if has_t_states else 0.0
     rot_share = budget.total / 3.0 if has_rotations else 0.0
     logical = budget.total - t_share - rot_share
-    return BudgetPartition(
-        total=budget.total, logical=logical, t_states=t_share, rotations=rot_share
-    )
+    return BudgetPartition(budget.total, logical, t_share, rot_share)
 
 
 @contextmanager
@@ -213,6 +205,20 @@ def estimate(
         raise ConfigError("exactly one of counts or post_layout must be provided")
     if slowdown < 1.0:
         raise ConfigError(f"slowdown must be >= 1, got {slowdown!r}")
+    return _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units,
+                 constraints, rotation_synthesis, post_layout)(slowdown)
+
+
+def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=None,
+          constraints=None, rotation_synthesis=DEFAULT_SYNTHESIS, post_layout=None):
+    """Run every stage of :func:`estimate` that the slowdown does not change.
+
+    Returns the per-slowdown step, a function from slowdown to report:
+    fleet sizing plus the report totals.
+    """
+    # estimate checks this before its slowdown; frontier relies on this copy
+    if (counts is None) == (post_layout is None):
+        raise ConfigError("exactly one of counts or post_layout must be provided")
     budget = ErrorBudget.from_value(error_budget)
     units = tuple(distillation_units) if distillation_units else tfactory.default_units()
 
@@ -224,25 +230,26 @@ def estimate(
         with _stage("budget-partition"):
             partition = partition_budget(budget, has_rotations, has_t_states)
         with _stage("rotation-synthesis"):
-            # the synthesis budget is only consulted when rotations exist
-            algorithmic = layout.estimate_algorithmic(
+            # the synthesis budget is only consulted when rotations exist;
+            # the result carries the same three aggregates as PostLayoutInput
+            post_layout = layout.estimate_algorithmic(
                 counts, partition.rotations, rotation_synthesis
             )
-        logical_qubits = algorithmic.logical_qubits_post_layout
-        depth = algorithmic.algorithmic_depth
-        total_t = algorithmic.total_t_states
-        if logical_qubits < 1 or depth < 1:
-            raise ConfigError("nothing to estimate: the counts hold no qubits or no operations")
     else:
         # post-layout aggregates carry no feature flags; keep the plain
         # three-way split so explicit and default budgets agree
         with _stage("budget-partition"):
             partition = partition_budget(budget, True, True)
-        logical_qubits = post_layout.logical_qubits_post_layout
-        depth = post_layout.algorithmic_depth
-        total_t = post_layout.total_t_states
-
+    logical_qubits = post_layout.logical_qubits_post_layout
+    depth = post_layout.algorithmic_depth
+    total_t = post_layout.total_t_states
+    if logical_qubits < 1 or depth < 1:
+        raise ConfigError("nothing to estimate: the counts hold no qubits or no operations")
+    if max(logical_qubits * depth, total_t) > sys.float_info.max:
+        raise ConfigError("qubits x depth and T states must stay within float range")
     with _stage("logical-error-target"):
+        if not 0.0 < partition.logical < 1.0:
+            raise InvalidPartitionError("the logical error budget share must be in (0, 1)")
         target = qec.required_logical_error_rate(partition.logical, logical_qubits, depth)
     physical_rate = qec.effective_physical_error_rate(qubit_params)
     with _stage("code-distance"):
@@ -250,59 +257,55 @@ def estimate(
     with _stage("logical-qubit-profile"):
         profile = qec.logical_qubit_profile(qec_scheme, qubit_params, distance)
 
-    base_runtime = depth * profile.logical_cycle_time * slowdown
-
+    t_target = None
+    plan = EMPTY_PLAN
     if total_t > 0:
         if qubit_params.t_gate_error_rate <= 0.0:
             raise ConfigError("tGateErrorRate must be positive when the program uses T states")
         with _stage("t-state-target"):
+            if not 0.0 < partition.t_states < 1.0:
+                raise InvalidPartitionError("the tStates error budget share must be in (0, 1)")
             t_target = tfactory.required_t_state_error(partition.t_states, total_t)
         with _stage("t-factory-pipeline"):
             plan = tfactory.search_pipeline(
-                units,
-                qec_scheme,
-                qubit_params,
-                input_error=qubit_params.t_gate_error_rate,
-                required_error=t_target,
+                units, qec_scheme, qubit_params,
+                input_error=qubit_params.t_gate_error_rate, required_error=t_target,
             )
-        with _stage("t-factory-sizing"):
-            plan, extra_slowdown = tfactory.size_fleet(plan, total_t, base_runtime, constraints)
-        slowdown_applied = slowdown * extra_slowdown
-    else:
-        t_target = None
-        plan = EMPTY_PLAN
-        slowdown_applied = slowdown
 
     # exact float identities; tests recompute these expressions bit-for-bit
-    runtime = depth * profile.logical_cycle_time * slowdown_applied
-    rqops = logical_qubits * profile.logical_clock_speed
     algorithmic_qubits = logical_qubits * profile.physical_qubits_per_logical_qubit
-    factory_qubits = plan.factory_physical_qubits
 
-    return EstimateReport(
-        physical_resource_estimates=PhysicalResourceEstimates(
-            runtime=runtime,
-            rqops=rqops,
-            physical_qubits=algorithmic_qubits + factory_qubits,
-        ),
-        resource_estimates_breakdown=ResourceEstimatesBreakdown(
-            logical_qubits_post_layout=logical_qubits,
-            algorithmic_depth=depth,
-            num_t_states=total_t,
-            num_t_factory_copies=plan.num_copies,
-            algorithmic_physical_qubits=algorithmic_qubits,
-            t_factory_physical_qubits=factory_qubits,
-            required_logical_error_rate=target,
-            required_t_state_error=t_target,
-            slowdown_applied=slowdown_applied,
-        ),
-        logical_qubit_parameters=profile,
-        t_factory_parameters=plan,
-        pre_layout_logical_resources=counts,
-        assumed_error_budget=partition,
-        physical_qubit_parameters=qubit_params,
-        assumptions=ASSUMPTIONS,
-    )
+    def size(slowdown: float) -> EstimateReport:
+        base_runtime = depth * profile.logical_cycle_time * slowdown
+        with _stage("t-factory-sizing"):
+            fleet, extra_slowdown = tfactory.size_fleet(plan, total_t, base_runtime, constraints)
+        slowdown_applied = slowdown * extra_slowdown
+        return EstimateReport(
+            physical_resource_estimates=PhysicalResourceEstimates(
+                runtime=depth * profile.logical_cycle_time * slowdown_applied,
+                rqops=logical_qubits * profile.logical_clock_speed,
+                physical_qubits=algorithmic_qubits + fleet.factory_physical_qubits,
+            ),
+            resource_estimates_breakdown=ResourceEstimatesBreakdown(
+                logical_qubits_post_layout=logical_qubits,
+                algorithmic_depth=depth,
+                num_t_states=total_t,
+                num_t_factory_copies=fleet.num_copies,
+                algorithmic_physical_qubits=algorithmic_qubits,
+                t_factory_physical_qubits=fleet.factory_physical_qubits,
+                required_logical_error_rate=target,
+                required_t_state_error=t_target,
+                slowdown_applied=slowdown_applied,
+            ),
+            logical_qubit_parameters=profile,
+            t_factory_parameters=fleet,
+            pre_layout_logical_resources=counts,
+            assumed_error_budget=partition,
+            physical_qubit_parameters=qubit_params,
+            assumptions=ASSUMPTIONS,
+        )
+
+    return size
 
 
 @dataclass(frozen=True)
@@ -334,10 +337,11 @@ def frontier(
 ) -> FrontierResult:
     """Qubit/time trade-off curve over a grid of slowdown factors.
 
-    Runs one estimate per factor and Pareto-prunes the results, so the
-    returned points have strictly decreasing physical qubits as runtime
-    grows.  A factor whose estimate fails is skipped and reported in
-    ``errors``.
+    Plans once, sizes the fleet at each factor and Pareto-prunes the
+    results, so the returned points have strictly decreasing physical
+    qubits as runtime grows.  A factor whose sizing fails is skipped and
+    reported in ``errors``; a planning failure is reported for every
+    factor.
     """
     grid = list(slowdown_grid)
     if not grid:
@@ -347,29 +351,25 @@ def frontier(
     if grid != sorted(grid):
         raise ConfigError("slowdown grid must be sorted ascending")
 
+    try:
+        size = _plan(counts, **kwargs)
+    except EstimatorError as exc:
+        return FrontierResult(points=(), errors=tuple((factor, exc) for factor in grid))
     raw: list[FrontierPoint] = []
     errors: list[tuple[float, EstimatorError]] = []
     for factor in grid:
         try:
-            report = estimate(counts, slowdown=factor, **kwargs)
+            report = size(factor)
         except EstimatorError as exc:
             errors.append((factor, exc))
             continue
-        raw.append(
-            FrontierPoint(
-                slowdown=factor,
-                physical_qubits=report.physical_resource_estimates.physical_qubits,
-                runtime=report.physical_resource_estimates.runtime,
-                report=report,
-            )
-        )
+        totals = report.physical_resource_estimates
+        raw.append(FrontierPoint(factor, totals.physical_qubits, totals.runtime, report))
 
     # Pareto prune: keep a point only if it strictly improves on qubits as
     # runtime increases; duplicates and dominated points drop out.
     pruned: list[FrontierPoint] = []
-    best_qubits: Optional[int] = None
     for point in sorted(raw, key=lambda p: (p.runtime, p.physical_qubits, p.slowdown)):
-        if best_qubits is None or point.physical_qubits < best_qubits:
+        if not pruned or point.physical_qubits < pruned[-1].physical_qubits:
             pruned.append(point)
-            best_qubits = point.physical_qubits
     return FrontierResult(points=tuple(pruned), errors=tuple(errors))

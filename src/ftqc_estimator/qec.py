@@ -35,7 +35,6 @@ __all__ = [
     "SURFACE_CODE",
     "FLOQUET_CODE",
     "get_scheme",
-    "builtin_scheme_names",
     "effective_physical_error_rate",
     "required_logical_error_rate",
     "logical_error_rate",
@@ -284,10 +283,6 @@ _SCHEMES = {
     # the floquet code is also known by its inventors' names
     "hastings_haah": FLOQUET_CODE,
 }
-
-
-def builtin_scheme_names() -> tuple[str, ...]:
-    return ("surface_code", "floquet_code")
 
 
 def get_scheme(name: str) -> QecScheme:

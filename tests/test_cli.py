@@ -199,6 +199,12 @@ class TestNumericValidation:
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, key)
 
+    def test_integer_literal_beyond_float_range_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, input={"postLayout": dict(POST_LAYOUT, totalTStates="@")})
+        job.write_text(job.read_text().replace('"@"', "9" * 400))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "totalTStates")
+
     @pytest.mark.parametrize("key", ["numInputTs", "numOutputTs"])
     def test_fractional_unit_count_exits_2(self, tmp_path, capsys, key):
         unit = dict(UNIT_15_TO_1, **{key: UNIT_15_TO_1[key] + 0.9})
@@ -265,6 +271,17 @@ class TestNumericValidation:
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, "crossingPrefactor")
 
+    @pytest.mark.parametrize(
+        "formula", ["ceil(1e300 * 1e300)", "floor(1e300 * 1e300 - 1e300 * 1e300)"]
+    )
+    def test_non_finite_rounding_in_unit_formula_exits_2(self, tmp_path, capsys, formula):
+        unit = dict(UNIT_15_TO_1, durationFormula=formula)
+        job = write_job(tmp_path, distillationUnits=[unit])
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "FormulaDomainError"
+
     @pytest.mark.parametrize("value", [True, "100"])
     def test_time_must_be_a_json_number(self, tmp_path, capsys, value):
         job = write_job(
@@ -274,6 +291,36 @@ class TestNumericValidation:
         )
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, "tGateTime")
+
+
+class TestBudgetShares:
+    @pytest.mark.parametrize(
+        "parts, stage",
+        [
+            ({"logical": 0, "tStates": 5e-4, "rotations": 5e-4}, "logical-error-target"),
+            ({"logical": 5e-4, "tStates": 0, "rotations": 5e-4}, "t-state-target"),
+        ],
+    )
+    def test_zero_share_in_use_exits_2(self, tmp_path, capsys, parts, stage):
+        job = write_job(tmp_path, errorBudget={"total": 1e-3, **parts})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidPartitionError"
+        assert error["stage"] == stage
+
+    def test_zero_share_of_unused_feature_is_fine(self, tmp_path, capsys):
+        job = write_job(
+            tmp_path,
+            input={"postLayout": dict(POST_LAYOUT, totalTStates=0)},
+            errorBudget={"total": 1e-3, "logical": 5e-4, "tStates": 0, "rotations": 5e-4},
+        )
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["assumedErrorBudget"]["tStates"] == 0
+        assert report["resourceEstimatesBreakdown"]["requiredTStateError"] is None
 
 
 class TestUnreadableFiles:

@@ -120,7 +120,16 @@ class TestEvaluation:
         with pytest.raises(DivisionByZeroError):
             formulas.evaluate(parse("0 ^ (0 - 1)"), {})
 
-    @pytest.mark.parametrize("source", ["log2(0)", "log2(0 - 3)", "sqrt(0 - 1)"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "log2(0)",
+            "log2(0 - 3)",
+            "sqrt(0 - 1)",
+            "ceil(1e300 * 1e300)",
+            "floor(1e300 * 1e300 - 1e300 * 1e300)",
+        ],
+    )
     def test_domain_errors(self, source):
         with pytest.raises(FormulaDomainError):
             formulas.evaluate(parse(source), {})

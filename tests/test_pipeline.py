@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ftqc_estimator import tfactory
 from ftqc_estimator.counts import LogicalCounts
 from ftqc_estimator.errors import (
     ConfigError,
@@ -330,3 +331,47 @@ class TestFrontier:
         )
         result = frontier(counts, slowdown_grid=[1.0, 2.0], **kwargs)
         assert len(result.points) + len(result.errors) == 2
+
+
+class TestFrontierPlansOnce:
+    def test_factory_search_runs_once_per_frontier(self, monkeypatch):
+        calls = []
+        search = tfactory.search_pipeline
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(tfactory, "search_pipeline", counted)
+        counts, kwargs = TestFrontier().t_heavy()
+        result = frontier(counts, slowdown_grid=[1.0, 2.0, 4.0], **kwargs)
+        assert result.points and not result.errors
+        assert len(calls) == 1
+
+    def test_points_equal_estimates_at_each_factor(self):
+        # one copy and no slowdown allowed: the low factors fail at sizing
+        counts, kwargs = TestFrontier().t_heavy(
+            constraints=TFactoryConstraints(max_t_factory_copies=1, max_logical_cycle_slowdown=1.0)
+        )
+        result = frontier(counts, slowdown_grid=[1.0, 1.1, 1.2, 1.5, 2.0], **kwargs)
+        assert result.points and result.errors
+        for point in result.points:
+            expected = estimate(counts, slowdown=point.slowdown, **kwargs)
+            assert point.report.to_json() == expected.to_json()
+            assert point.physical_qubits == expected.physical_resource_estimates.physical_qubits
+            assert point.runtime == expected.physical_resource_estimates.runtime
+        for factor, error in result.errors:
+            with pytest.raises(EstimationStageError) as raised:
+                estimate(counts, slowdown=factor, **kwargs)
+            assert str(raised.value) == str(error)
+            assert error.stage == "t-factory-sizing"
+
+    def test_planning_failure_is_reported_for_every_factor(self):
+        budget = {"total": 1e-3, "logical": 1e-3, "tStates": 0, "rotations": 0}
+        counts, kwargs = TestFrontier().t_heavy(error_budget=budget)
+        result = frontier(counts, slowdown_grid=[1.0, 2.0], **kwargs)
+        assert result.points == ()
+        assert [factor for factor, _ in result.errors] == [1.0, 2.0]
+        for _, error in result.errors:
+            assert isinstance(error.cause, InvalidPartitionError)
+            assert error.stage == "t-state-target"
