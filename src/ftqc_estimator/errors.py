@@ -242,6 +242,8 @@ def read_file(path, what: str, parse: Callable = json.loads):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's int-string limit
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 #: Errors meaning "the requested machine cannot be built", as opposed to a

@@ -523,6 +523,8 @@ def size_fleet(
         return replace(plan, num_copies=0, runs_per_copy=0), 1.0
     if algorithm_runtime <= 0.0:
         raise ValueError(f"runtime must be positive, got {algorithm_runtime!r}")
+    if not math.isfinite(algorithm_runtime):
+        raise ConfigError(f"the stretched runtime must be finite, got {algorithm_runtime!r} ns")
     constraints = constraints or TFactoryConstraints()
     duration = plan.duration_per_run
     per_run = plan.t_states_per_run

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ftqc_estimator import cli
+from ftqc_estimator import cli, jobs
+from ftqc_estimator.errors import EstimationStageError
 from ftqc_estimator.layout import layout_qubits
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,6 +205,22 @@ class TestNumericValidation:
         job.write_text(job.read_text().replace('"@"', "9" * 400))
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, "totalTStates")
+
+    def test_integer_literal_beyond_int_string_limit_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, input={"postLayout": dict(POST_LAYOUT, totalTStates="@")})
+        job.write_text(job.read_text().replace('"@"', "9" * 5000))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "4300 digits")
+
+    def test_trace_id_beyond_int_string_limit_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trace.jsonl").write_text('{"op": "alloc", "q": [0]}\n{"op": "t", "q": [%s]}\n' % ("9" * 5000))
+        job = write_job(tmp_path, input={"tracePath": "trace.jsonl"})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "TraceFormatError"
+        assert error["message"].startswith(f"bad JSON at {tmp_path / 'trace.jsonl'}:2: ")
+        assert "4300 digits" in error["message"]
 
     @pytest.mark.parametrize("key", ["numInputTs", "numOutputTs"])
     def test_fractional_unit_count_exits_2(self, tmp_path, capsys, key):
@@ -474,6 +491,20 @@ class TestFrontierCommand:
         payload = json.loads(out)
         assert payload["points"] == []
         assert payload["errors"] == [{"slowdown": s, **failure} for s in (1.0, 2.0)]
+
+
+    def test_non_finite_stretched_runtime_is_config_error(self, capsys):
+        job = str(GOLDEN / "copy_limit_slowdown.json")
+        code, out, err = run(capsys, "frontier", "--job", job, "--slowdown-grid", "1,1e308")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert [p["slowdown"] for p in payload["points"]] == [1.0]
+        [row] = payload["errors"]
+        assert (row["slowdown"], row["type"], row["stage"]) == (1e308, "ConfigError", "t-factory-sizing")
+        assert "finite" in row["message"]
+        with pytest.raises(EstimationStageError) as excinfo:
+            jobs.run_job(jobs.load_job(job), slowdown=1e308)
+        assert cli._failure(excinfo.value) == (cli.EXIT_CONFIG, {k: row[k] for k in ("type", "message", "stage")})
 
 
 class TestProfilesCommand:

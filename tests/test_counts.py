@@ -1,11 +1,15 @@
 """Trace counting: width, tallies, rotation layering, and trace errors."""
 
+import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftqc_estimator import counts
 from ftqc_estimator.counts import (
     LogicalCounts,
     TraceEvent,
@@ -20,6 +24,7 @@ from ftqc_estimator.errors import (
     InvalidCountsError,
     TraceFormatError,
     UseAfterReleaseError,
+    read_file,
 )
 
 
@@ -223,6 +228,226 @@ class TestTraceFiles:
         path.write_text('{"op":"alloc","q":[0]}\n{"op":"rz","q":[0]}\n')
         counts = count_trace(read_trace(path))
         assert counts == LogicalCounts(num_qubits=1, rotation_count=1, rotation_depth=1)
+
+
+    def test_read_trace_is_an_iterator(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"op":"alloc","q":[0]}\n{"op":"rz","q":[0]}\n')
+        events = read_trace(path)
+        assert iter(events) is events
+        assert list(events) == [ev("alloc", 0), ev("rz", 0)]
+
+
+# ---------------------------------------------------------------------------
+# the streamed, fast-path reader against the whole-file json.loads reader
+
+
+def oracle_parse(lines, source="<trace>"):
+    """Line-by-line ``json.loads`` parsing, the reference for the fast path.
+
+    The one intended difference from the reader this replaced: an integer
+    literal beyond Python's int-string limit made ``json.loads`` raise a
+    plain ``ValueError``; it is now a ``TraceFormatError``.
+    """
+    for line_number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        context = f"{source}:{line_number}"
+        try:
+            record = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"bad JSON at {context}: {exc.msg}") from exc
+        except ValueError as exc:
+            raise TraceFormatError(f"bad JSON at {context}: {exc}") from exc
+        yield TraceEvent.from_mapping(record, context)
+
+
+def oracle_read(path):
+    """Decode the whole file, then parse every line, then hand the list over."""
+    lines = read_file(Path(path), "trace file", str.splitlines)
+    return list(oracle_parse(lines, source=str(path)))
+
+
+def short(value):
+    """A readable test id for a long or odd input."""
+    text = ascii(value)
+    return text if len(text) <= 48 else f"{text[:40]}...{len(text)}"
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and message of what it raised."""
+    try:
+        return ("value", call())
+    except Exception as exc:  # the comparison covers every exception type
+        return ("error", type(exc).__name__, str(exc))
+
+
+ODD_IDS = ["0", "7", "-0", "-1", "01", "00", "+1", "1_0", " 1", "1 ", "\u0661", "\u00b2",
+           "1.0", "1e3", "true", "null", '"1"', "[1]", "9" * 18, "9" * 19, "9" * 5000]
+ID_LINES = [
+    line
+    for qubit in ODD_IDS
+    for line in (
+        f'{{"op": "t", "q": [{qubit}]}}',
+        f'{{"op":"t","q":[{qubit}]}}',
+        f'{{"op": "ccz", "q": [3, {qubit}, 5]}}',
+        f'{{"op":"clifford","q":[{qubit},4]}}',
+    )
+]
+SHAPE_LINES = [
+    '{"op": "alloc", "q": [0, 1, 2, 3]}',
+    '{"op":"alloc","q":[0,1,2,3]}',
+    '{"op":\t"t",\t"q":\t[12]}',
+    '{"op":  "t", "q": [12]}',
+    '{"op": "t",  "q": [12]}',
+    '{"op": "t", "q":  [12]}',
+    '{"op": "t", "q": [ 12 ]}',
+    '{"op": "t", "q": [12] }',
+    '{"op": "ccz", "q": [0,1, 2]}',
+    '{"op":"ccz","q":[0, 1,2]}',
+    '{"op": "ccz", "q": [0 , 1, 2]}',
+    '{"op": "ccz", "q": [0,  1, 2]}',
+    '{"op": "ccz", "q": [0, 1, 2,]}',
+    '{"op": "ccz", "q": [, 0, 1, 2]}',
+    '{"op": "ccz", "q": [0, , 2]}',
+    '{"q": [12], "op": "t"}',
+    '{"op": "t", "q": [12], "q": [13]}',
+    '{"op": "t", "op": "rz", "q": [12]}',
+    '{"op": "t", "q": [12], "op": "rz"}',
+    '{"op": "\\u0074", "q": [12]}',
+    '{"op": "t", "q": [12], "extra": 1}',
+    '{"op": "t", "q": [12], "note": "h\u00e9llo \u2603"}',
+    '{"op": "t", "q": []}',
+    '{"op":"alloc","q":[]}',
+    '{"op": "cnot", "q": [0, 1]}',
+    '{"op": "T", "q": [0]}',
+    '{"op": "t"}',
+    '{"op": "t", "q": 12}',
+    '{"op": "t", "q": [12]',
+    '{"op": "t", "q": [12]}}',
+    '{"op": "t", "q": [12]}x',
+    '{"op": "t", "q": [[12]]}',
+    '{"op": "t", "q": [true]}',
+    '[]',
+    '"t"',
+    '',
+    '   ',
+    '\t',
+    '\ufeff{"op": "t", "q": [12]}',
+    '  {"op": "t", "q": [12]}  ',
+    '{"op": "t", "q": [12]}\u00a0',
+]
+
+
+@pytest.mark.parametrize("line", ID_LINES + SHAPE_LINES, ids=short)
+def test_fast_path_parses_as_json_loads(line):
+    expected = outcome(lambda: list(oracle_parse([line])))
+    assert outcome(lambda: list(parse_trace_lines([line]))) == expected
+
+
+def test_canonical_spellings_take_the_fast_path(monkeypatch):
+    lines = [json.dumps({"op": op, "q": q}, separators=separators)
+             for op, q in (("t", [12]), ("ccz", [0, 1, 2]), ("alloc", [0]), ("clifford", [3, 4]))
+             for separators in ((", ", ": "), (",", ":"))]
+
+    def refuse(text):
+        raise AssertionError(f"json.loads called on {text!r}")
+
+    monkeypatch.setattr(counts.json, "loads", refuse)
+    assert len(list(parse_trace_lines(lines))) == len(lines)
+
+
+CANONICAL = [
+    '{"op": "alloc", "q": [0, 1, 2, 3]}',
+    '{"op":"t","q":[0]}',
+    '{"op": "rz", "q": [1]}',
+    '{"op":"ccz","q":[0,1,2]}',
+    '{"op": "clifford", "q": [2, 3]}',
+    '{"op": "measure", "q": [0]}',
+    '{"op":"release","q":[0,1,2,3]}',
+]
+BAD_AT_5 = CANONICAL[:4] + ['{"op": "rz", "q": [1}'] + CANONICAL[4:]
+TRACE_TEXTS = [
+    "\n".join(CANONICAL) + "\n",
+    "\n".join(CANONICAL),
+    "\r\n".join(CANONICAL) + "\r\n",
+    "\r".join(CANONICAL) + "\r",
+    "\u2028".join(CANONICAL),
+    "\x0b".join(CANONICAL) + "\x85",
+    "\x1c\x0c\u2029".join(CANONICAL),
+    "\ufeff" + "\n".join(CANONICAL),
+    "\n\n  \r\n\t\n".join(CANONICAL) + "\n \n",
+    "\r\n".join(BAD_AT_5),
+    "\r\r\n\u2028".join(BAD_AT_5),
+    "\n".join(CANONICAL[:2] + ['{"op": "t", "q": [0], "note": "\u00e9\u2603\U0001f600"}'] + CANONICAL[2:]),
+    "",
+    "\n\r\n",
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+@pytest.mark.parametrize("text", TRACE_TEXTS, ids=short)
+def test_streamed_file_reads_as_whole_file(tmp_path, monkeypatch, text, block):
+    # tiny blocks put records, "\r\n" pairs and multi-byte characters
+    # across block edges
+    monkeypatch.setattr(counts, "_BLOCK_SIZE", block)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(lambda: list(read_trace(path))) == outcome(lambda: oracle_read(path))
+
+
+# more than the 8 KiB a text stream decodes at a time, so that a bad byte
+# after it is met only after the lines before it have been parsed
+FILLER = b'{"op":"alloc","q":[1]}\n{"op":"release","q":[1]}\n' * 200
+
+
+@pytest.mark.parametrize("block", [4, 1 << 16])
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a count error before a parse error
+        b'{"op":"alloc","q":[0]}\n{"op":"alloc","q":[0]}\n' + FILLER + b'{"op": bad}\n',
+        # a count error before an undecodable byte
+        b'{"op":"t","q":[0]}\n' + FILLER + b'\xff\n',
+        # a parse error before an undecodable byte
+        b'{"op": bad}\n' + FILLER + b'{"op": "t", "q": [0]}\xe9\n',
+        # an undecodable byte alone: its position is counted from the file's start
+        FILLER + FILLER + b'\xe9\n',
+        # count errors alone
+        b'{"op":"alloc","q":[0]}\n{"op":"t","q":[1]}\n{"op":"t","q":[0]}\n',
+        b'{"op":"alloc","q":[0,1]}\n{"op":"ccz","q":[0,1,1]}\n' + FILLER,
+    ],
+    ids=short,
+)
+def test_later_read_and_parse_errors_still_win(tmp_path, monkeypatch, data, block):
+    monkeypatch.setattr(counts, "_BLOCK_SIZE", block)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data)
+    expected = outcome(lambda: count_trace(oracle_read(path)))
+    assert expected[0] == "error"
+    assert outcome(lambda: count_trace(read_trace(path))) == expected
+
+
+def test_memory_does_not_grow_with_trace_length(tmp_path):
+    def peak(length):
+        rng = random.Random(length)
+        path = tmp_path / f"trace-{length}.jsonl"
+        width = 64
+        lines = [json.dumps({"op": "alloc", "q": list(range(width))})]
+        while len(lines) < length:
+            op = rng.choice(("t", "rz", "measure", "clifford", "ccz"))
+            arity = 3 if op == "ccz" else 1
+            lines.append(json.dumps({"op": op, "q": rng.sample(range(width), arity)}))
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            count_trace(read_trace(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100_000) < 2 * peak(10_000)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ To re-record after an intended output change, run
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,10 @@ CASES = {
     "frontier_sizing_fails_low": ("--slowdown-grid", "1,2,4,8,16,32,64"),
     "frontier_t_free": ("--slowdown-grid", "1,2,4"),
     "frontier_plan_fails_table": ("--slowdown-grid", "1,2", "--format", "table"),
+    "runtime_too_short": (),
+    "trace_crlf": (),
+    "trace_double_alloc_then_bad_json": (),
+    "trace_use_after_release": (),
 }
 
 
@@ -46,8 +51,15 @@ def run_case(name):
     extra = CASES[name]
     command = "frontier" if "--slowdown-grid" in extra else "estimate"
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, "--job", str(GOLDEN / f"{name}.json"), *extra])
+    # a relative job path keeps trace paths in error messages independent
+    # of where the repository lives
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--job", f"{name}.json", *extra])
+    finally:
+        os.chdir(cwd)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
