@@ -84,6 +84,8 @@ class TraceEvent:
         if not isinstance(record, Mapping) or "op" not in record or "q" not in record:
             raise TraceFormatError(f"trace record must carry 'op' and 'q' fields{where}")
         op = record["op"]
+        if not isinstance(op, str):
+            raise TraceFormatError(f"trace op must be a string{where}")
         if op not in EVENT_KINDS:
             raise TraceFormatError(f"unknown trace op {op!r}{where}")
         qubits = record["q"]
@@ -285,7 +287,7 @@ def parse_trace_lines(lines: Iterable[str], source: str = "<trace>") -> Iterator
             record = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"bad JSON at {context}: {exc.msg}") from exc
-        except ValueError as exc:  # an integer literal beyond Python's int-string limit
+        except (ValueError, RecursionError) as exc:  # int-string limit, or nested too deep
             raise TraceFormatError(f"bad JSON at {context}: {exc}") from exc
         yield TraceEvent.from_mapping(record, context)
 

@@ -24,6 +24,7 @@ Trees are immutable after parsing and can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -174,10 +175,21 @@ def _tokenize(source: str) -> Iterator[_Token]:
 
 _OPERAND_MSG = "a number, variable, function call, or '('"
 
+# Most tokens a formula may have: over ten times the longest formula the
+# package or its benchmark uses (22 tokens).  It bounds the depth of the
+# parsed tree, so that parsing (at most five frames per two tokens, for
+# nested parentheses), evaluation and serialization stay well below
+# Python's default recursion limit of 1000.
+_MAX_TOKENS = 256
+
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = list(_tokenize(source))
+        self.tokens = list(itertools.islice(_tokenize(source), _MAX_TOKENS + 1))
+        if self.tokens[-1].kind != _EOF:
+            raise FormulaSyntaxError(
+                self.tokens[-1].position, f"the end of the formula within {_MAX_TOKENS} tokens"
+            )
         self.index = 0
 
     @property
@@ -257,8 +269,9 @@ def parse_formula(source: str) -> FormulaExpr:
     """Parse a formula string into an expression tree.
 
     Raises :class:`FormulaSyntaxError` (with the character position of the
-    problem) for malformed input and :class:`UnknownFunctionError` for a
-    call to an unrecognized function.
+    problem) for malformed input, including a formula of more than 256
+    tokens, and :class:`UnknownFunctionError` for a call to an unrecognized
+    function.
     """
     if not isinstance(source, str):
         raise FormulaSyntaxError(0, f"a formula string, got {source!r}")

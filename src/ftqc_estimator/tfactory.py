@@ -274,78 +274,6 @@ _DISTANCE_VARIABLES = frozenset(
 )
 
 
-def _distance_free(unit: DistillationUnit) -> bool:
-    used = formulas.variables(unit.failure_probability) | formulas.variables(
-        unit.output_error_rate
-    )
-    return not (used & _DISTANCE_VARIABLES)
-
-
-class _RoundCoster:
-    """Caches per-distance scheme values and evaluates unit formulas."""
-
-    def __init__(self, scheme: QecScheme, params: PhysicalQubitParams):
-        self.scheme = scheme
-        self.params = params
-        self.base_env = params.time_variables()
-        self.base_env["cliffordErrorRate"] = params.clifford_error_rate
-        self._scheme_cache: dict[int, Optional[tuple[float, int]]] = {}
-
-    def scheme_values(self, distance: int) -> Optional[tuple[float, int]]:
-        if distance not in self._scheme_cache:
-            try:
-                value = evaluate_scheme_formulas(self.scheme, self.params, distance)
-            except ConfigError:
-                # scheme formulas only promise positivity for distance >= 3;
-                # a physical-level round is then simply unavailable
-                if distance != 1:
-                    raise
-                value = None
-            self._scheme_cache[distance] = value
-        return self._scheme_cache[distance]
-
-    def env(self, distance: int, input_error: float) -> Optional[dict[str, float]]:
-        values = self.scheme_values(distance)
-        if values is None:
-            return None
-        cycle_time, footprint = values
-        env = dict(self.base_env)
-        env["codeDistance"] = float(distance)
-        env["physicalQubitsPerLogicalQubit"] = float(footprint)
-        env["logicalCycleTime"] = cycle_time
-        env["inputErrorRate"] = input_error
-        return env
-
-    def error_free_env(self, input_error: float) -> dict[str, float]:
-        env = dict(self.base_env)
-        env["inputErrorRate"] = input_error
-        return env
-
-    def transfer(self, unit: DistillationUnit, env: Mapping[str, float]) -> Optional[tuple[float, float]]:
-        """(failure probability, output error) of one round, or None if invalid."""
-        failure = formulas.evaluate(unit.failure_probability, env)
-        if not 0.0 <= failure < 1.0:
-            return None
-        output = formulas.evaluate(unit.output_error_rate, env)
-        if not 0.0 < output < 1.0:
-            return None
-        return failure, output
-
-    def cost(
-        self, unit: DistillationUnit, distance: int, input_error: float, failure: float
-    ) -> Optional[tuple[float, int]]:
-        """(expected duration ns, physical qubits of one unit), or None."""
-        env = self.env(distance, input_error)
-        if env is None:
-            return None
-        qubits = formulas.evaluate(unit.physical_qubits, env)
-        duration = formulas.evaluate(unit.duration, env)
-        # an overflowed or NaN cost makes the round unavailable, as a non-positive one does
-        if not (1.0 <= qubits < math.inf and 0.0 < duration < math.inf):
-            return None
-        return duration / (1.0 - failure), math.ceil(qubits)
-
-
 def _parallel_units(sequence: Sequence[DistillationUnit]) -> list[int]:
     """Units per round so each round feeds the next; the last runs once."""
     counts = [1] * len(sequence)
@@ -355,30 +283,10 @@ def _parallel_units(sequence: Sequence[DistillationUnit]) -> list[int]:
     return counts
 
 
-def _build_plan(
-    sequence: Sequence[DistillationUnit],
-    distances: Sequence[int],
-    parallel: Sequence[int],
-    output_error: float,
-    qubits_per_copy: int,
-    duration: float,
-) -> TFactoryPlan:
-    rounds = tuple(
-        FactoryRound(unit=u, code_distance=d, num_parallel_units=m)
-        for u, d, m in zip(sequence, distances, parallel)
-    )
-    return TFactoryPlan(
-        rounds=rounds,
-        output_error_rate=output_error,
-        duration_per_run=duration,
-        physical_qubits_per_copy=qubits_per_copy,
-        t_states_per_run=sequence[-1].num_output_ts,
-    )
-
-
 def _search(
     units: Sequence[DistillationUnit],
-    coster: _RoundCoster,
+    scheme: QecScheme,
+    params: PhysicalQubitParams,
     input_error: float,
     required_error: float,
     max_rounds: int,
@@ -393,6 +301,11 @@ def _search(
     is scored, never extended: another round can only widen the copy and
     lengthen the run.
 
+    Every formula reads its variables from one table per search, filled
+    lazily: a code distance maps to the variables of a round at that
+    distance (None where the scheme rejects distance 1), and None to the
+    base variables, which the error formulas of a distance-free unit read.
+
     Scoring a chain: the narrowest feasible copy is
     ``cap = max_k min_d parallel_k * qubits_k(d)``, and under that cap each
     round independently takes its option with the least
@@ -403,15 +316,40 @@ def _search(
     compared in unit-list order, then by ascending distance for units
     that branch per distance.
     """
-    max_distance = coster.scheme.max_code_distance
-    # (unit, distance it is pinned to or None, distance options)
+    base = params.time_variables()
+    base["cliffordErrorRate"] = params.clifford_error_rate
+    table: dict[Optional[int], Optional[dict[str, float]]] = {None: base}
+
+    def variables_at(distance: Optional[int]) -> Optional[dict[str, float]]:
+        if distance not in table:
+            try:
+                cycle_time, footprint = evaluate_scheme_formulas(scheme, params, distance)
+            except ConfigError:
+                # scheme formulas only promise positivity for distance >= 3;
+                # a physical-level round is then simply unavailable
+                if distance != 1:
+                    raise
+                table[distance] = None
+            else:
+                table[distance] = {
+                    **base,
+                    "codeDistance": float(distance),
+                    "physicalQubitsPerLogicalQubit": float(footprint),
+                    "logicalCycleTime": cycle_time,
+                }
+        return table[distance]
+
+    # (unit, distance its errors are evaluated at or None, distance options)
     branches = []
     for unit in units:
-        distances = unit.allowed_distances(max_distance)
-        if _distance_free(unit):
-            branches.append((unit, None, distances))
-        else:
+        distances = unit.allowed_distances(scheme.max_code_distance)
+        used = formulas.variables(unit.failure_probability) | formulas.variables(
+            unit.output_error_rate
+        )
+        if used & _DISTANCE_VARIABLES:
             branches.extend((unit, d, (d,)) for d in distances)
+        else:
+            branches.append((unit, None, distances))
 
     best_key: Optional[tuple] = None
     best_plan: Optional[TFactoryPlan] = None
@@ -420,8 +358,7 @@ def _search(
 
     def score(output_error: float) -> None:
         nonlocal best_key, best_plan
-        sequence = [unit for unit, _ in chain]
-        parallel = _parallel_units(sequence)
+        parallel = _parallel_units([unit for unit, _ in chain])
         cap = max(m * min(q for _, q, _ in opts) for m, (_, opts) in zip(parallel, chain))
         picks = [
             min(o for o in opts if m * o[1] <= cap) for m, (_, opts) in zip(parallel, chain)
@@ -430,24 +367,41 @@ def _search(
         key = (cap, total_duration, len(chain))
         if best_key is None or key < best_key:
             best_key = key
-            best_plan = _build_plan(
-                sequence, [d for _, _, d in picks], parallel, output_error, cap, total_duration
+            best_plan = TFactoryPlan(
+                rounds=tuple(
+                    FactoryRound(unit=unit, code_distance=d, num_parallel_units=m)
+                    for m, (unit, _), (_, _, d) in zip(parallel, chain, picks)
+                ),
+                output_error_rate=output_error,
+                duration_per_run=total_duration,
+                physical_qubits_per_copy=cap,
+                t_states_per_run=chain[-1][0].num_output_ts,
             )
 
     def visit(error: float) -> None:
-        for unit, pinned, distances in branches:
-            env = coster.error_free_env(error) if pinned is None else coster.env(pinned, error)
-            if env is None:
+        for unit, at, distances in branches:
+            row = variables_at(at)
+            if row is None:
                 continue
-            result = coster.transfer(unit, env)
-            if result is None:
+            env = {**row, "inputErrorRate": error}
+            failure = formulas.evaluate(unit.failure_probability, env)
+            if not 0.0 <= failure < 1.0:
                 continue
-            failure, output = result
+            output = formulas.evaluate(unit.output_error_rate, env)
+            if not 0.0 < output < 1.0:
+                continue
             options = []
             for d in distances:
-                cost = coster.cost(unit, d, error, failure)
-                if cost is not None:
-                    options.append((*cost, d))
+                row = variables_at(d)
+                if row is None:
+                    continue
+                cost_env = env if d == at else {**row, "inputErrorRate": error}
+                qubits = formulas.evaluate(unit.physical_qubits, cost_env)
+                duration = formulas.evaluate(unit.duration, cost_env)
+                # an overflowed or NaN cost makes the round unavailable, as a
+                # non-positive one does
+                if 1.0 <= qubits < math.inf and 0.0 < duration < math.inf:
+                    options.append((duration / (1.0 - failure), math.ceil(qubits), d))
             # any completion needs at least one unit per round
             if not options or (
                 best_key is not None and min(q for _, q, _ in options) > best_key[0]
@@ -493,7 +447,7 @@ def search_pipeline(
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
 
-    plan = _search(units, _RoundCoster(scheme, params), input_error, required_error, max_rounds)
+    plan = _search(units, scheme, params, input_error, required_error, max_rounds)
     if plan is None:
         raise NoFeasiblePipelineError(
             f"no distillation chain of <= {max_rounds} rounds reaches error "

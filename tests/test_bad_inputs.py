@@ -1,11 +1,11 @@
-"""Every malformed job ends as a clean failure.
+"""Every malformed job or trace ends as a clean failure.
 
-Each node of a set of jobs that holds every kind of record is replaced,
-in turn, by each of a fixed set of bad values, and the job is run
-through ``cli.main``.  Whatever the value, the run must exit 0 (the
-value happens to be valid), 2 (configuration error) or 3 (infeasible),
-never 1 (internal error), and stdout and stderr must each be empty or
-strict JSON.
+Each node of a set of jobs that holds every kind of record, and each
+node of some trace records, is replaced, in turn, by each of a fixed set
+of bad values, and the job is run through ``cli.main``.  Whatever the
+value, the run must exit 0 (the value happens to be valid), 2
+(configuration error) or 3 (infeasible), never 1 (internal error), and
+stdout and stderr must each be empty or strict JSON.
 """
 
 import contextlib
@@ -106,6 +106,21 @@ def strict_json_problem(text):
     return None
 
 
+def run_problems(argv, where):
+    """Run ``cli.main``; describe an exit 1 or a non-JSON output stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    problems = []
+    if code not in (0, 2, 3):
+        problems.append(f"{where}: exit {code}: {err.getvalue().strip()}")
+    for stream, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+        problem = strict_json_problem(text)
+        if problem:
+            problems.append(f"{where}: {stream}: {problem}")
+    return problems
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_bad_value_fails_cleanly(case, tmp_path):
     document, before, after = CASES[case]
@@ -115,14 +130,24 @@ def test_every_bad_value_fails_cleanly(case, tmp_path):
     for path in node_paths(document):
         for value in BAD_VALUES:
             job.write_text(json.dumps(replaced(document, path, value)))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([*before, "--job", str(job), *after])
             where = f"{'.'.join(map(str, path))} = {json.dumps(value)}"
-            if code not in (0, 2, 3):
-                problems.append(f"{where}: exit {code}: {err.getvalue().strip()}")
-            for stream, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
-                problem = strict_json_problem(text)
-                if problem:
-                    problems.append(f"{where}: {stream}: {problem}")
+            problems += run_problems([*before, "--job", str(job), *after], where)
+    assert not problems, "\n".join(problems)
+
+
+# the alloc, t and ccz records: ids in lists of four, one and three
+@pytest.mark.parametrize("line", [0, 1, 2])
+def test_every_bad_trace_value_fails_cleanly(line, tmp_path):
+    lines = (GOLDEN / "small_trace.jsonl").read_text().splitlines()
+    record = json.loads(lines[line])
+    shutil.copy(GOLDEN / "gate_ns_e4_trace.json", tmp_path / "job.json")
+    trace = tmp_path / "small_trace.jsonl"
+    problems = []
+    # the whole record, then its op, its id list and each id
+    for path in [(), *node_paths(record)]:
+        for value in BAD_VALUES:
+            bad = replaced(record, path, value) if path else value
+            trace.write_text("\n".join([*lines[:line], json.dumps(bad), *lines[line + 1 :]]) + "\n")
+            where = f"line {line + 1} {'.'.join(map(str, path)) or 'record'} = {json.dumps(value)}"
+            problems += run_problems(["estimate", "--job", str(tmp_path / "job.json")], where)
     assert not problems, "\n".join(problems)

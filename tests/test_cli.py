@@ -299,6 +299,15 @@ class TestNumericValidation:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "FormulaDomainError"
 
+    def test_overlong_unit_formula_exits_2(self, tmp_path, capsys):
+        formula = "(" * 400 + "11 * logicalCycleTime" + ")" * 400
+        job = write_job(tmp_path, distillationUnits=[dict(UNIT_15_TO_1, durationFormula=formula)])
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormulaSyntaxError"
+        assert "256 tokens" in error["message"]
+
     @pytest.mark.parametrize("value", [True, "100"])
     def test_time_must_be_a_json_number(self, tmp_path, capsys, value):
         job = write_job(
@@ -370,6 +379,34 @@ class TestUnreadableFiles:
         assert_config_error(code, out, err, "bespoke.json")
 
 
+class TestMalformedRecords:
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def trace_error(self, tmp_path, capsys, line):
+        (tmp_path / "trace.jsonl").write_text('{"op": "alloc", "q": [0]}\n' + line + "\n")
+        job = write_job(tmp_path, input={"tracePath": "trace.jsonl"})
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "TraceFormatError"
+        return error["message"]
+
+    @pytest.mark.parametrize("op", [["t"], {"t": 0}])
+    def test_non_string_trace_op_exits_2(self, tmp_path, capsys, op):
+        message = self.trace_error(tmp_path, capsys, json.dumps({"op": op, "q": [0]}))
+        assert message.endswith(f"({tmp_path / 'trace.jsonl'}:2)")
+
+    def test_deeply_nested_trace_line_exits_2(self, tmp_path, capsys):
+        message = self.trace_error(tmp_path, capsys, '{"op": "t", "q": %s}' % self.DEEP)
+        assert message.startswith(f"bad JSON at {tmp_path / 'trace.jsonl'}:2: ")
+
+    def test_deeply_nested_job_file_exits_2(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text('{"input": %s}' % self.DEEP)
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "job.json is not valid JSON")
+
+
 class TestSweepCommand:
     def test_distance_grows_as_budget_shrinks(self, tmp_path, capsys):
         job = write_job(tmp_path, errorBudget={"total": 1e-2})
@@ -425,6 +462,19 @@ class TestSweepCommand:
         rows = out.strip().splitlines()[1:]
         assert rows[0].endswith(",")  # success row, empty error column
         assert "ConfigError" in rows[1]
+
+    def test_deeply_nested_template_gives_error_rows(self, tmp_path, capsys):
+        # each row copies the template by a JSON round trip, which handles
+        # nesting well beyond what copy.deepcopy does within the recursion limit
+        job = write_job(tmp_path, rotationSynthesis="@")
+        job.write_text(job.read_text().replace('"@"', "[" * 900 + "]" * 900))
+        code, out, err = run(
+            capsys, "sweep", "--job", str(job), "--param", "errorBudget", "--values", "1e-3,1e-2"
+        )
+        assert (code, err) == (0, "")
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("ConfigError: rotationSynthesis must be an object" in row for row in rows)
 
     def test_empty_values_rejected(self, tmp_path, capsys):
         job = write_job(tmp_path)

@@ -83,6 +83,32 @@ class TestParsing:
             parse(source)
         assert excinfo.value.position == position
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 400 + "11 * logicalCycleTime" + ")" * 400,
+            "11 * logicalCycleTime" + " + 1" * 2000,
+            "11 * logicalCycleTime" + " ^ 1" * 3000,
+        ],
+        ids=["nested-parentheses", "long-sum", "power-chain"],
+    )
+    def test_overlong_formula_rejected(self, source):
+        # each would exceed the recursion limit in the parser or in evaluate
+        with pytest.raises(FormulaSyntaxError) as excinfo:
+            parse(source)
+        assert "256 tokens" in excinfo.value.expected
+
+    def test_token_bound(self):
+        longest = "-" * 255 + "x"  # 256 tokens, a tree 256 nodes deep
+        tree = parse(longest)
+        assert formulas.evaluate(tree, {"x": 2.0}) == -2.0
+        assert parse(formulas.to_source(tree)) == tree
+        nested = "(" * 127 + "x" + ")" * 127  # 255 tokens, the deepest parser recursion
+        assert formulas.evaluate(parse(nested), {"x": 2.0}) == 2.0
+        with pytest.raises(FormulaSyntaxError) as excinfo:
+            parse("-" + longest)
+        assert excinfo.value.position == 256
+
     def test_whitespace_insensitive(self):
         assert parse("1+2*3") == parse(" 1 + 2\t*  3 ")
 

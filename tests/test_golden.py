@@ -21,7 +21,8 @@ from ftqc_estimator import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# case -> CLI arguments after the job path; default: a plain estimate
+# case -> CLI arguments after the job path: a slowdown grid makes a
+# frontier case, a swept parameter a sweep case, anything else an estimate
 CASES = {
     "gate_ns_e3_counts": (),
     "gate_ns_e4_trace": (),
@@ -44,12 +45,16 @@ CASES = {
     "trace_crlf": (),
     "trace_double_alloc_then_bad_json": (),
     "trace_use_after_release": (),
+    "estimate_table": ("--format", "table"),
+    "sweep_error_row": ("--param", "errorBudget", "--values", "0.001,2"),
 }
 
 
 def run_case(name):
     extra = CASES[name]
-    command = "frontier" if "--slowdown-grid" in extra else "estimate"
+    command = (
+        "frontier" if "--slowdown-grid" in extra else "sweep" if "--param" in extra else "estimate"
+    )
     out, err = io.StringIO(), io.StringIO()
     # a relative job path keeps trace paths in error messages independent
     # of where the repository lives

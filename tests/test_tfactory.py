@@ -5,6 +5,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftqc_estimator.errors import (
     ConfigError,
@@ -322,6 +324,75 @@ class TestSearchMatchesOracle:
         assert oracle_search(units, small_scheme, params, 1e-3, 1e-70) is None
         with pytest.raises(NoFeasiblePipelineError):
             search_pipeline(units, small_scheme, params, 1e-3, 1e-70)
+
+
+# error formulas: distance-free, then distance-dependent (a 1/d factor, or
+# an error floor that falls with the distance as in the crossing model)
+_OUTPUT_ERRORS = (
+    "{c} * inputErrorRate ^ {p}",
+    "{c} * inputErrorRate ^ {p} / codeDistance",
+    "{c} * inputErrorRate ^ {p} + 0.1 * (cliffordErrorRate / 0.01) ^ ((codeDistance + 1) / 2)",
+)
+# cost formulas with and without the input error
+_QUBITS = (
+    "{q} * physicalQubitsPerLogicalQubit",
+    "{q} * physicalQubitsPerLogicalQubit * (1 + 100 * inputErrorRate)",
+)
+_DURATIONS = (
+    "{t} * logicalCycleTime",
+    "{t} * logicalCycleTime * (1 + 100 * inputErrorRate)",
+)
+
+
+@st.composite
+def unit_sets(draw):
+    units = []
+    for index in range(draw(st.integers(1, 3))):
+        outputs = draw(st.integers(1, 4))
+        values = dict(
+            c=draw(st.integers(1, 100)),
+            p=draw(st.integers(2, 3)),
+            q=draw(st.floats(5, 40)),
+            t=draw(st.floats(3, 15)),
+        )
+        units.append(
+            DistillationUnit.from_strings(
+                name=f"unit-{index}",
+                num_input_ts=outputs + draw(st.integers(1, 16)),
+                num_output_ts=outputs,
+                failure_probability=f"{draw(st.integers(1, 20))} * inputErrorRate",
+                output_error_rate=draw(st.sampled_from(_OUTPUT_ERRORS)).format(**values),
+                physical_qubits=draw(st.sampled_from(_QUBITS)).format(**values),
+                duration=draw(st.sampled_from(_DURATIONS)).format(**values),
+                applicability=draw(st.sampled_from(Applicability)),
+            )
+        )
+    return tuple(units)
+
+
+class TestSearchMatchesOracleOnRandomUnits:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        units=unit_sets(),
+        max_code_distance=st.sampled_from((3, 5, 7, 9, 11, 13)),
+        required=st.integers(-16, -4).map(lambda exponent: 10.0**exponent),
+        max_rounds=st.integers(1, 3),
+    )
+    def test_same_chain_as_oracle(self, units, max_code_distance, required, max_rounds):
+        data = FLOQUET_CODE.as_mapping()
+        data["maxCodeDistance"] = max_code_distance
+        scheme = QecScheme.from_mapping(data)
+        params = majorana_params(t_gate_error_rate=1e-3)
+        expected = oracle_search(units, scheme, params, 1e-3, required, max_rounds)
+        if expected is None:
+            with pytest.raises(NoFeasiblePipelineError):
+                search_pipeline(units, scheme, params, 1e-3, required, max_rounds)
+            return
+        plan = search_pipeline(units, scheme, params, 1e-3, required, max_rounds)
+        assert plan.physical_qubits_per_copy == expected[0]
+        assert plan.duration_per_run == pytest.approx(expected[1])
+        assert len(plan.rounds) == expected[2]
+        assert chosen_rounds(plan) == expected[3]
 
 
 # ---------------------------------------------------------------------------
