@@ -91,13 +91,10 @@ def cmd_estimate(job_path: str, out_path: Optional[str], fmt: str = "structured"
 
 
 def _set_by_path(data: dict, dotted: str, value: float) -> None:
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = data
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"job has no field at {dotted!r}")
-        node = node[part]
-    leaf = parts[-1]
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"job has no field at {dotted!r}")
     if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):

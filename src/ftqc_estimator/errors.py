@@ -169,8 +169,12 @@ class RuntimeTooShortError(EstimatorError):
 # pipeline and front end
 
 
-class InvalidPartitionError(EstimatorError):
-    """Explicit error-budget parts do not sum to the total."""
+class ConfigError(EstimatorError, ValueError):
+    """Invalid job specification, profile, command-line usage, or component argument."""
+
+
+class InvalidPartitionError(ConfigError):
+    """Budget parts that do not sum to the total, or a used share outside (0, 1)."""
 
 
 class EstimationStageError(EstimatorError):
@@ -182,23 +186,24 @@ class EstimationStageError(EstimatorError):
         super().__init__(f"[{stage}] {cause}")
 
 
-class ConfigError(EstimatorError):
-    """Invalid job specification, profile, or command-line usage."""
-
-
 # Readers for decoded job, scheme, unit and profile JSON; each malformed
 # value ends as a ConfigError.
+
+
+def _shown(text: str) -> str:
+    """``text`` cut to 100 characters, so an echoed value stays short."""
+    return text if len(text) <= 100 else text[:100] + "..."
 
 
 def read_record(value, what: str, fields: Optional[frozenset] = None, required=frozenset()):
     """``value`` as an object with every ``required`` key and no key outside ``fields``."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, got {value!r}")
+        raise ConfigError(f"{what} must be an object, got {_shown(repr(value))}")
     keys = value.keys()
     if not keys >= required:
         raise ConfigError(f"{what} is missing {', '.join(sorted(required - keys))}")
     if fields is not None and not keys <= fields:
-        raise ConfigError(f"unknown {what} field(s): {', '.join(sorted(keys - fields))}")
+        raise ConfigError(f"unknown {what} field(s): {_shown(', '.join(sorted(keys - fields)))}")
     return value
 
 
@@ -210,17 +215,17 @@ def read_number(value, what: str, whole: bool = False):
     """
     is_number = isinstance(value, Real) and not isinstance(value, bool)
     if not (is_number and abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+        raise ConfigError(f"{what} must be a finite number, got {_shown(repr(value))}")
     if not whole:
         return float(value)
     if value != int(value):
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+        raise ConfigError(f"{what} must be a whole number, got {_shown(repr(value))}")
     return int(value)
 
 
 def read_string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{what} must be a string, got {value!r}")
+        raise ConfigError(f"{what} must be a string, got {_shown(repr(value))}")
     return value
 
 
@@ -230,7 +235,7 @@ def read_choice(value, what: str, choices: type[Enum]):
         return choices(value)
     except ValueError:
         expected = ", ".join(repr(choice.value) for choice in choices)
-        raise ConfigError(f"unknown {what} {value!r}; expected one of {expected}") from None
+        raise ConfigError(f"unknown {what} {_shown(repr(value))}; expected one of {expected}") from None
 
 
 def read_file(path, what: str, parse: Callable = json.loads):

@@ -6,7 +6,9 @@ the algorithmic depth in logical cycles, and the total demand for T
 states including rotation-synthesis costs.
 
 Python integers are arbitrary precision, so the tallies here cannot
-silently wrap at any workload scale.
+silently wrap at any workload scale.  An argument outside a function's
+domain raises :class:`ConfigError`, a synthesis budget outside (0, 1)
+:class:`InvalidBudgetError`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def layout_qubits(num_algorithmic_qubits: int) -> int:
     """
     q = num_algorithmic_qubits
     if q < 0:
-        raise ValueError(f"qubit count must be non-negative, got {q}")
+        raise ConfigError(f"numQubits must be non-negative, got {q}")
     if q == 0:
         return 0
     # ceil(sqrt(n)) via integer arithmetic; exact at any magnitude
@@ -80,7 +82,7 @@ def t_states_per_rotation(rotation_count: int, synthesis_budget: float, constant
     grows with the log of its inverse.  Always at least 1.
     """
     if rotation_count < 1:
-        raise ValueError(f"rotation count must be >= 1, got {rotation_count}")
+        raise ConfigError(f"rotationCount must be >= 1, got {rotation_count}")
     if not 0.0 < synthesis_budget < 1.0:
         raise InvalidBudgetError(
             f"synthesis budget must be in (0, 1), got {synthesis_budget!r}"
@@ -93,9 +95,9 @@ def t_states_per_rotation(rotation_count: int, synthesis_budget: float, constant
 
 def _check_multiplier(counts: LogicalCounts, t_per_rotation: int) -> None:
     if t_per_rotation < 0:
-        raise ValueError(f"t_per_rotation must be >= 0, got {t_per_rotation}")
+        raise ConfigError(f"t_per_rotation must be >= 0, got {t_per_rotation}")
     if (t_per_rotation == 0) != (counts.rotation_count == 0):
-        raise ValueError(
+        raise ConfigError(
             "t_per_rotation must be 0 exactly when there are no rotations "
             f"(got {t_per_rotation} with rotationCount {counts.rotation_count})"
         )

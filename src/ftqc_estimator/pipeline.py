@@ -15,7 +15,6 @@ reports.
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -201,10 +200,6 @@ def estimate(
     time for fewer T factory copies.  Component failures propagate as
     :class:`EstimationStageError` tagged with the stage that failed.
     """
-    if (counts is None) == (post_layout is None):
-        raise ConfigError("exactly one of counts or post_layout must be provided")
-    if slowdown < 1.0:
-        raise ConfigError(f"slowdown must be >= 1, got {slowdown!r}")
     return _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units,
                  constraints, rotation_synthesis, post_layout)(slowdown)
 
@@ -216,7 +211,6 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     Returns the per-slowdown step, a function from slowdown to report:
     fleet sizing plus the report totals.
     """
-    # estimate checks this before its slowdown; frontier relies on this copy
     if (counts is None) == (post_layout is None):
         raise ConfigError("exactly one of counts or post_layout must be provided")
     budget = ErrorBudget.from_value(error_budget)
@@ -243,13 +237,7 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     logical_qubits = post_layout.logical_qubits_post_layout
     depth = post_layout.algorithmic_depth
     total_t = post_layout.total_t_states
-    if logical_qubits < 1 or depth < 1:
-        raise ConfigError("nothing to estimate: the counts hold no qubits or no operations")
-    if max(logical_qubits * depth, total_t) > sys.float_info.max:
-        raise ConfigError("qubits x depth and T states must stay within float range")
     with _stage("logical-error-target"):
-        if not 0.0 < partition.logical < 1.0:
-            raise InvalidPartitionError("the logical error budget share must be in (0, 1)")
         target = qec.required_logical_error_rate(partition.logical, logical_qubits, depth)
     physical_rate = qec.effective_physical_error_rate(qubit_params)
     with _stage("code-distance"):
@@ -260,11 +248,7 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     t_target = None
     plan = EMPTY_PLAN
     if total_t > 0:
-        if qubit_params.t_gate_error_rate <= 0.0:
-            raise ConfigError("tGateErrorRate must be positive when the program uses T states")
         with _stage("t-state-target"):
-            if not 0.0 < partition.t_states < 1.0:
-                raise InvalidPartitionError("the tStates error budget share must be in (0, 1)")
             t_target = tfactory.required_t_state_error(partition.t_states, total_t)
         with _stage("t-factory-pipeline"):
             plan = tfactory.search_pipeline(
@@ -276,6 +260,8 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     algorithmic_qubits = logical_qubits * profile.physical_qubits_per_logical_qubit
 
     def size(slowdown: float) -> EstimateReport:
+        if slowdown < 1.0:
+            raise ConfigError(f"slowdown must be >= 1, got {slowdown!r}")
         base_runtime = depth * profile.logical_cycle_time * slowdown
         with _stage("t-factory-sizing"):
             fleet, extra_slowdown = tfactory.size_fleet(plan, total_t, base_runtime, constraints)

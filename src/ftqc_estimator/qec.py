@@ -6,11 +6,15 @@ operation times and the code distance: the logical cycle time and the
 number of physical qubits per logical qubit.  The logical error rate per
 cycle at distance ``d`` follows the crossing model
 ``a * (p / p*) ^ ((d + 1) / 2)``.
+
+An argument outside a function's domain raises :class:`ConfigError`; a
+logical budget share outside (0, 1) raises :class:`InvalidPartitionError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -20,6 +24,7 @@ from .errors import (
     AboveThresholdError,
     ConfigError,
     DistanceExhaustedError,
+    InvalidPartitionError,
     read_choice,
     read_number,
     read_record,
@@ -319,12 +324,12 @@ def required_logical_error_rate(
     error_budget_logical: float, logical_qubits: int, depth: int
 ) -> float:
     """Per-qubit-per-cycle error target from the logical budget share."""
-    if not 0.0 < error_budget_logical < 1.0:
-        raise ValueError(f"budget must be in (0, 1), got {error_budget_logical!r}")
     if logical_qubits < 1 or depth < 1:
-        raise ValueError(
-            f"need at least one qubit and one cycle, got {logical_qubits} x {depth}"
-        )
+        raise ConfigError("nothing to estimate: the counts hold no qubits or no operations")
+    if logical_qubits * depth > sys.float_info.max:
+        raise ConfigError("qubits x depth must stay within float range")
+    if not 0.0 < error_budget_logical < 1.0:
+        raise InvalidPartitionError("the logical error budget share must be in (0, 1)")
     return error_budget_logical / (logical_qubits * depth)
 
 
@@ -346,15 +351,12 @@ def compute_code_distance(
     none suffices.
     """
     if physical_error_rate <= 0.0:
-        raise ValueError(
-            f"physical error rate must be positive, got {physical_error_rate!r}"
-        )
+        raise ConfigError(f"physical error rate {physical_error_rate!r} must be positive "
+                          "(cliffordErrorRate, readoutErrorRate)")
     if physical_error_rate >= scheme.error_correction_threshold:
         raise AboveThresholdError(physical_error_rate, scheme.error_correction_threshold)
     if not 0.0 < target_per_cycle_rate < 1.0:
-        raise ValueError(
-            f"target rate must be in (0, 1), got {target_per_cycle_rate!r}"
-        )
+        raise ConfigError(f"logical error target per cycle {target_per_cycle_rate!r} not in (0, 1)")
     for distance in range(3, scheme.max_code_distance + 1, 2):
         if logical_error_rate(scheme, physical_error_rate, distance) <= target_per_cycle_rate:
             return distance
@@ -392,7 +394,7 @@ def logical_qubit_profile(
     of ``params``.
     """
     if code_distance % 2 == 0 or not 3 <= code_distance <= scheme.max_code_distance:
-        raise ValueError(
+        raise ConfigError(
             f"code distance must be odd and within [3, {scheme.max_code_distance}], "
             f"got {code_distance}"
         )

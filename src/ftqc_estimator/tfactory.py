@@ -15,11 +15,15 @@ Within one factory copy the rounds execute sequentially, so the copy's
 footprint is its widest round and its run duration is the sum of the
 rounds' expected durations, where a round with failure probability ``f``
 costs ``duration / (1 - f)`` on average (retry-until-success).
+
+An argument outside a function's domain raises :class:`ConfigError`; a
+T-state budget share outside (0, 1) raises :class:`InvalidPartitionError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -28,6 +32,7 @@ from . import formulas
 from .errors import (
     ConfigError,
     FactoryConstraintInfeasibleError,
+    InvalidPartitionError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
     read_choice,
@@ -243,28 +248,32 @@ class TFactoryConstraints:
     max_t_factory_copies: Optional[int] = None
     max_logical_cycle_slowdown: Optional[float] = None
 
+    def __post_init__(self):
+        copies, slowdown = self.max_t_factory_copies, self.max_logical_cycle_slowdown
+        if copies is not None and copies < 1:
+            raise ConfigError(f"maxTFactoryCopies must be >= 1, got {copies!r}")
+        if slowdown is not None and not slowdown >= 1.0:  # NaN fails too
+            raise ConfigError(f"maxLogicalCycleSlowdown must be >= 1, got {slowdown!r}")
+
     @classmethod
     def from_mapping(cls, data: Mapping) -> "TFactoryConstraints":
         read_record(data, "tFactoryConstraints", _CONSTRAINT_FIELDS)
         copies = data.get("maxTFactoryCopies")
         slowdown = data.get("maxLogicalCycleSlowdown")
-        if copies is not None:
-            copies = read_number(copies, "maxTFactoryCopies", whole=True)
-            if copies < 1:
-                raise ConfigError(f"maxTFactoryCopies must be >= 1, got {copies!r}")
-        if slowdown is not None:
-            slowdown = read_number(slowdown, "maxLogicalCycleSlowdown")
-            if slowdown < 1.0:
-                raise ConfigError(f"maxLogicalCycleSlowdown must be >= 1, got {slowdown!r}")
-        return cls(max_t_factory_copies=copies, max_logical_cycle_slowdown=slowdown)
+        return cls(
+            None if copies is None else read_number(copies, "maxTFactoryCopies", whole=True),
+            None if slowdown is None else read_number(slowdown, "maxLogicalCycleSlowdown"),
+        )
 
 
 def required_t_state_error(error_budget_t_states: float, total_t_states: int) -> float:
     """Per-state error target from the distillation budget share."""
-    if not 0.0 < error_budget_t_states < 1.0:
-        raise ValueError(f"budget must be in (0, 1), got {error_budget_t_states!r}")
     if total_t_states < 1:
-        raise ValueError(f"need at least one T state, got {total_t_states}")
+        raise ConfigError(f"need at least one T state, got {total_t_states}")
+    if total_t_states > sys.float_info.max:
+        raise ConfigError("T states must stay within float range")
+    if not 0.0 < error_budget_t_states < 1.0:
+        raise InvalidPartitionError("the tStates error budget share must be in (0, 1)")
     return error_budget_t_states / total_t_states
 
 
@@ -441,11 +450,11 @@ def search_pipeline(
     if len(units) > MAX_UNITS:
         raise ConfigError(f"at most {MAX_UNITS} distillation units are supported")
     if not 0.0 < input_error < 1.0:
-        raise ValueError(f"input error must be in (0, 1), got {input_error!r}")
+        raise ConfigError(f"tGateErrorRate must be in (0, 1) for T states, got {input_error!r}")
     if not 0.0 < required_error < 1.0:
-        raise ValueError(f"required error must be in (0, 1), got {required_error!r}")
+        raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
     if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+        raise ConfigError(f"max_rounds must be >= 1, got {max_rounds}")
 
     plan = _search(units, scheme, params, input_error, required_error, max_rounds)
     if plan is None:
@@ -472,13 +481,11 @@ def size_fleet(
     to the allowed slowdown.
     """
     if total_t_states < 0:
-        raise ValueError(f"total T states must be >= 0, got {total_t_states}")
+        raise ConfigError(f"total T states must be >= 0, got {total_t_states}")
     if total_t_states == 0:
         return replace(plan, num_copies=0, runs_per_copy=0), 1.0
-    if algorithm_runtime <= 0.0:
-        raise ValueError(f"runtime must be positive, got {algorithm_runtime!r}")
-    if not math.isfinite(algorithm_runtime):
-        raise ConfigError(f"the stretched runtime must be finite, got {algorithm_runtime!r} ns")
+    if not 0.0 < algorithm_runtime < math.inf:
+        raise ConfigError(f"runtime must be positive and finite, got {algorithm_runtime!r} ns")
     constraints = constraints or TFactoryConstraints()
     duration = plan.duration_per_run
     per_run = plan.t_states_per_run

@@ -21,7 +21,7 @@ from ftqc_estimator import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-BAD_VALUES = (math.nan, math.inf, -1, 0.5, "abc", True, None, [], {}, 1e308)
+BAD_VALUES = (math.nan, math.inf, -1, 0, 0.5, 5e-324, "abc", True, None, [], {}, 1e308)
 
 # Inline qubit parameters and rotation-synthesis constants appear in no
 # golden job, so this job carries them.

@@ -9,6 +9,7 @@ import pytest
 from ftqc_estimator import cli, jobs
 from ftqc_estimator.errors import EstimationStageError
 from ftqc_estimator.layout import layout_qubits
+from test_bad_inputs import reject_constant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -251,6 +252,12 @@ class TestNumericValidation:
         assert code == 0, err
         assert run(capsys, "estimate", "--job", str(as_float)) == (0, expected, "")
 
+    def test_huge_value_is_echoed_short(self, tmp_path, capsys):
+        job = write_job(tmp_path, errorBudget="x" * 10**6)
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "errorBudget must be a finite number")
+        assert len(err) < 1000
+
     def test_nan_slowdown_cap_exits_2(self, tmp_path, capsys):
         # NaN compares false with every slowdown, so it would switch the cap off
         job = write_job(
@@ -347,6 +354,64 @@ class TestBudgetShares:
         report = json.loads(out)
         assert report["assumedErrorBudget"]["tStates"] == 0
         assert report["resourceEstimatesBreakdown"]["requiredTStateError"] is None
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=reject_constant)
+
+
+# Job fields that put an input outside the crossing model's domain (a zero
+# physical rate, or an error target that underflows to 0), the stage that
+# rejects them, and a sweep over the field at fault: one bad, one good value.
+OUTSIDE_MODEL = {
+    "zero_physical_rate": (
+        {
+            "qubitParams": dict(MAJORANA_PARAMS, cliffordErrorRate=0.0, readoutErrorRate=0.0),
+            "qecScheme": "floquet_code",
+        },
+        "code-distance",
+        ("qubitParams.readoutErrorRate", "0,1e-4"),
+    ),
+    "logical_target_underflow": (
+        {"errorBudget": 5e-324},
+        "code-distance",
+        ("errorBudget", "5e-324,1e-3"),
+    ),
+    "t_state_target_underflow": (
+        {"errorBudget": {"total": 1e-3, "logical": 1e-3, "tStates": 5e-324, "rotations": 0}},
+        "t-factory-pipeline",
+        ("errorBudget.tStates", "5e-324,1e-13"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_MODEL))
+class TestOutsideModelDomain:
+    def test_estimate_exits_2(self, tmp_path, capsys, case):
+        fields, stage, _ = OUTSIDE_MODEL[case]
+        code, out, err = run(capsys, "estimate", "--job", str(write_job(tmp_path, **fields)))
+        assert (code, out) == (2, "")
+        error = strict_json(err)["error"]
+        assert (error["type"], error["stage"]) == ("ConfigError", stage)
+
+    def test_frontier_lists_the_failure_at_every_factor(self, tmp_path, capsys, case):
+        job = str(write_job(tmp_path, **OUTSIDE_MODEL[case][0]))
+        _, _, err = run(capsys, "estimate", "--job", job)
+        failure = strict_json(err)["error"]
+        code, out, err = run(capsys, "frontier", "--job", job, "--slowdown-grid", "1,2,4")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["points"] == []
+        assert payload["errors"] == [{"slowdown": s, **failure} for s in (1.0, 2.0, 4.0)]
+
+    def test_sweep_gives_one_error_row(self, tmp_path, capsys, case):
+        fields, _, (param, values) = OUTSIDE_MODEL[case]
+        job = str(write_job(tmp_path, **fields))
+        code, out, err = run(capsys, "sweep", "--job", job, "--param", param, "--values", values)
+        assert (code, err) == (0, "")
+        bad, good = out.strip().splitlines()[1:]
+        assert "ConfigError: " in bad
+        assert good.endswith(",")
 
 
 class TestUnreadableFiles:

@@ -417,6 +417,15 @@ class TestSizeFleet:
         assert slowdown == 1.0
         assert plan.factory_physical_qubits == 8000
 
+    @pytest.mark.parametrize(
+        "limits", [{"max_t_factory_copies": 0}, {"max_logical_cycle_slowdown": math.nan}]
+    )
+    def test_constraints_are_checked_at_construction(self, limits):
+        # unchecked, zero copies divide by zero in size_fleet and a NaN cap
+        # compares false with every slowdown, which switches the cap off
+        with pytest.raises(ConfigError):
+            TFactoryConstraints(**limits)
+
     def test_zero_demand(self):
         plan, slowdown = size_fleet(flat_plan(), 0, 1e6)
         assert plan.num_copies == 0
