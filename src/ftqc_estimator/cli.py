@@ -162,7 +162,8 @@ def cmd_frontier(
         lines += [f"# error at slowdown {e['slowdown']}: {e['message']}" for e in errors]
         _write_text(out_path, "\n".join(lines) + "\n")
     else:
-        _write_text(out_path, json.dumps({"points": points, "errors": errors}, indent=2) + "\n")
+        document = json.dumps({"points": points, "errors": errors}, indent=2, allow_nan=False)
+        _write_text(out_path, document + "\n")
     return EXIT_OK
 
 
@@ -170,7 +171,8 @@ def cmd_profiles(fmt: str = "table", out_path: Optional[str] = None) -> int:
     """List the hardware profiles in the active profile directory."""
     listed = profiles.list_profiles()
     if fmt == "structured":
-        _write_text(out_path, json.dumps([p.as_mapping() for p in listed], indent=2) + "\n")
+        document = json.dumps([p.as_mapping() for p in listed], indent=2, allow_nan=False)
+        _write_text(out_path, document + "\n")
         return EXIT_OK
     columns = (
         "name",

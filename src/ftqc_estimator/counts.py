@@ -31,8 +31,10 @@ from .errors import (
     ConfigError,
     DoubleAllocError,
     InvalidCountsError,
+    JsonRecord,
     TraceFormatError,
     UseAfterReleaseError,
+    _shown,
     read_file,
 )
 
@@ -97,7 +99,7 @@ class TraceEvent:
 
 
 @dataclass(frozen=True)
-class LogicalCounts:
+class LogicalCounts(JsonRecord):
     """Pre-layout logical resource counts of a quantum program.
 
     ``num_qubits`` is the circuit width (peak concurrent allocation);
@@ -115,11 +117,12 @@ class LogicalCounts:
     measurement_count: int = 0
 
     def __post_init__(self):
-        for field, value in self.as_mapping().items():
+        for attr, key in self._json_fields():
+            value = getattr(self, attr)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidCountsError(field, f"must be an integer, got {value!r}")
+                raise InvalidCountsError(key, f"must be an integer, got {_shown(repr(value))}")
             if value < 0:
-                raise InvalidCountsError(field, f"must be non-negative, got {value}")
+                raise InvalidCountsError(key, f"must be non-negative, got {value}")
         if self.rotation_depth > self.rotation_count:
             raise InvalidCountsError(
                 "rotationDepth",
@@ -131,28 +134,9 @@ class LogicalCounts:
                 "must be zero exactly when rotationCount is zero",
             )
 
-    def as_mapping(self) -> dict[str, int]:
-        return {
-            "numQubits": self.num_qubits,
-            "tCount": self.t_count,
-            "rotationCount": self.rotation_count,
-            "rotationDepth": self.rotation_depth,
-            "cczCount": self.ccz_count,
-            "ccixCount": self.ccix_count,
-            "measurementCount": self.measurement_count,
-        }
-
     @classmethod
     def from_mapping(cls, data: Mapping) -> "LogicalCounts":
-        known = {
-            "numQubits": "num_qubits",
-            "tCount": "t_count",
-            "rotationCount": "rotation_count",
-            "rotationDepth": "rotation_depth",
-            "cczCount": "ccz_count",
-            "ccixCount": "ccix_count",
-            "measurementCount": "measurement_count",
-        }
+        known = {key: attr for attr, key in cls._json_fields()}
         for key in data:
             if key not in known:
                 raise InvalidCountsError(key, "unknown counts field")

@@ -1,14 +1,18 @@
-"""Exception hierarchy for the estimation engine.
+"""Exception hierarchy for the estimation engine, and its JSON spelling.
 
 Every error raised deliberately by this package derives from
 :class:`EstimatorError`, so callers can distinguish engine failures from
-programming mistakes with a single ``except`` clause.
+programming mistakes with a single ``except`` clause.  The readers below
+decode job JSON into typed values; :class:`JsonRecord` writes a record
+back as JSON, each key the camelCase of its field's name.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+from dataclasses import fields
 from enum import Enum
 from numbers import Real
 from typing import Callable, Optional
@@ -249,6 +253,48 @@ def read_file(path, what: str, parse: Callable = json.loads):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # int-string limit, or nested too deep
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
+
+
+class JsonRecord:
+    """Mixin giving a dataclass its JSON form: each field, in field order,
+    under the camelCase of its name or under its entry in ``_RENAMED``.
+
+    Values encode as: records by their own mapping, tuples as lists, enums
+    by value, formula trees by their source text (their ``str``); None,
+    int, float and str pass through.  A record whose JSON is not one key
+    per field overrides :meth:`as_mapping`.
+    """
+
+    _RENAMED: dict[str, str] = {}
+
+    @classmethod
+    @functools.cache
+    def _json_fields(cls) -> tuple[tuple[str, str], ...]:
+        """(attribute, key) per field, in field order."""
+        return tuple((f.name, cls._RENAMED.get(f.name) or _camel(f.name)) for f in fields(cls))
+
+    def as_mapping(self) -> dict:
+        return {key: _encoded(getattr(self, attr)) for attr, key in self._json_fields()}
+
+
+_PLAIN = frozenset({type(None), int, float, str})
+
+
+def _encoded(value):
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, JsonRecord):
+        return value.as_mapping()
+    if isinstance(value, tuple):
+        return [_encoded(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)  # a formula tree: str() gives its source text
 
 
 #: Errors meaning "the requested machine cannot be built", as opposed to a

@@ -15,6 +15,7 @@ reports.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -244,6 +245,9 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
         distance = qec.compute_code_distance(qec_scheme, physical_rate, target)
     with _stage("logical-qubit-profile"):
         profile = qec.logical_qubit_profile(qec_scheme, qubit_params, distance)
+        rqops = logical_qubits * profile.logical_clock_speed
+        if rqops == math.inf:
+            raise ConfigError(f"rqops of {logical_qubits} logical qubits exceeds float range")
 
     t_target = None
     plan = EMPTY_PLAN
@@ -269,7 +273,7 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
         return EstimateReport(
             physical_resource_estimates=PhysicalResourceEstimates(
                 runtime=depth * profile.logical_cycle_time * slowdown_applied,
-                rqops=logical_qubits * profile.logical_clock_speed,
+                rqops=rqops,
                 physical_qubits=algorithmic_qubits + fleet.factory_physical_qubits,
             ),
             resource_estimates_breakdown=ResourceEstimatesBreakdown(

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .errors import ConfigError, read_file, read_record, read_string
+from .errors import ConfigError, JsonRecord, _shown, read_file, read_record, read_string
 from .qec import PhysicalQubitParams
 
 __all__ = [
@@ -43,19 +43,13 @@ _PROFILE_FIELDS = _PROFILE_REQUIRED | {"description"}
 
 
 @dataclass(frozen=True)
-class HardwareProfile:
+class HardwareProfile(JsonRecord):
     name: str
     description: str
     qubit_params: PhysicalQubitParams
     default_scheme_name: str
 
-    def as_mapping(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "qubitParams": self.qubit_params.as_mapping(),
-            "defaultQecScheme": self.default_scheme_name,
-        }
+    _RENAMED = {"default_scheme_name": "defaultQecScheme"}
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "HardwareProfile":
@@ -84,7 +78,7 @@ def load_profile(name: str) -> HardwareProfile:
         return _load_file(override / f"{name}.json")
     if name not in BUILTIN_PROFILE_NAMES:
         raise ConfigError(
-            f"unknown hardware profile {name!r}; built-ins: "
+            f"unknown hardware profile {_shown(repr(name))}; built-ins: "
             + ", ".join(BUILTIN_PROFILE_NAMES)
         )
     return _load_file(resources.files(__package__).joinpath(f"profiles/{name}.json"))

@@ -25,6 +25,8 @@ from .errors import (
     ConfigError,
     DistanceExhaustedError,
     InvalidPartitionError,
+    JsonRecord,
+    _shown,
     read_choice,
     read_number,
     read_record,
@@ -69,27 +71,9 @@ _REQUIRED_TIMES = {
     ),
 }
 
-_TIME_KEYS = {
-    "one_qubit_gate_time": "oneQubitGateTime",
-    "two_qubit_gate_time": "twoQubitGateTime",
-    "one_qubit_measurement_time": "oneQubitMeasurementTime",
-    "two_qubit_measurement_time": "twoQubitMeasurementTime",
-    "t_gate_time": "tGateTime",
-}
-
-_RATE_KEYS = {
-    "clifford_error_rate": "cliffordErrorRate",
-    "readout_error_rate": "readoutErrorRate",
-    "t_gate_error_rate": "tGateErrorRate",
-    "idle_error_rate": "idleErrorRate",
-}
-
-_QUBIT_FIELDS = frozenset({"instructionSet", *_TIME_KEYS.values(), *_RATE_KEYS.values()})
-_QUBIT_REQUIRED = frozenset({"instructionSet"})
-
 
 @dataclass(frozen=True)
-class PhysicalQubitParams:
+class PhysicalQubitParams(JsonRecord):
     """Operation times (ns) and error rates of the physical qubits.
 
     Gate-based sets are characterized by one- and two-qubit gate, T-gate,
@@ -137,14 +121,6 @@ class PhysicalQubitParams:
                 env[key] = float(value)
         return env
 
-    def as_mapping(self) -> dict:
-        data: dict = {"instructionSet": self.instruction_set.value}
-        for attr, key in _TIME_KEYS.items():
-            data[key] = getattr(self, attr)
-        for attr, key in _RATE_KEYS.items():
-            data[key] = getattr(self, attr)
-        return data
-
     @classmethod
     def from_mapping(cls, data: Mapping) -> "PhysicalQubitParams":
         read_record(data, "qubitParams", _QUBIT_FIELDS, _QUBIT_REQUIRED)
@@ -155,6 +131,13 @@ class PhysicalQubitParams:
                 if data.get(key) is not None:
                     kwargs[attr] = read_number(data[key], key)
         return cls(**kwargs)
+
+
+# job keys of the operation times (ns) and of the error rates, by attribute
+_TIME_KEYS = {a: k for a, k in PhysicalQubitParams._json_fields() if a.endswith("_time")}
+_RATE_KEYS = {a: k for a, k in PhysicalQubitParams._json_fields() if a.endswith("_rate")}
+_QUBIT_FIELDS = frozenset(k for _, k in PhysicalQubitParams._json_fields())
+_QUBIT_REQUIRED = frozenset({"instructionSet"})
 
 
 def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
@@ -183,7 +166,7 @@ _SCHEME_FIELDS = _SCHEME_REQUIRED | {"maxCodeDistance"}
 
 
 @dataclass(frozen=True)
-class QecScheme:
+class QecScheme(JsonRecord):
     """A quantum error correction scheme.
 
     Both formulas may reference the operation-time variables and
@@ -253,18 +236,6 @@ class QecScheme:
             ),
         )
 
-    def as_mapping(self) -> dict:
-        return {
-            "name": self.name,
-            "crossingPrefactor": self.crossing_prefactor,
-            "errorCorrectionThreshold": self.error_correction_threshold,
-            "logicalCycleTime": formulas.to_source(self.logical_cycle_time),
-            "physicalQubitsPerLogicalQubit": formulas.to_source(
-                self.physical_qubits_per_logical_qubit
-            ),
-            "maxCodeDistance": self.max_code_distance,
-        }
-
 
 SURFACE_CODE = QecScheme.from_strings(
     name="surface_code",
@@ -296,12 +267,12 @@ def get_scheme(name: str) -> QecScheme:
         return _SCHEMES[name]
     except KeyError:
         raise ConfigError(
-            f"unknown QEC scheme {name!r}; built-ins: {', '.join(sorted(_SCHEMES))}"
+            f"unknown QEC scheme {_shown(repr(name))}; built-ins: {', '.join(sorted(_SCHEMES))}"
         ) from None
 
 
 @dataclass(frozen=True)
-class LogicalQubitProfile:
+class LogicalQubitProfile(JsonRecord):
     """Per-logical-qubit costs of a scheme at a chosen code distance."""
 
     code_distance: int
@@ -309,15 +280,6 @@ class LogicalQubitProfile:
     logical_cycle_time: float  # ns
     logical_clock_speed: float  # Hz, = 1e9 / cycle time
     logical_error_rate_per_cycle: float
-
-    def as_mapping(self) -> dict:
-        return {
-            "codeDistance": self.code_distance,
-            "physicalQubitsPerLogicalQubit": self.physical_qubits_per_logical_qubit,
-            "logicalCycleTime": self.logical_cycle_time,
-            "logicalClockSpeed": self.logical_clock_speed,
-            "logicalErrorRatePerCycle": self.logical_error_rate_per_cycle,
-        }
 
 
 def required_logical_error_rate(
@@ -399,11 +361,14 @@ def logical_qubit_profile(
             f"got {code_distance}"
         )
     cycle_time, footprint = evaluate_scheme_formulas(scheme, params, code_distance)
+    clock_speed = 1e9 / cycle_time
+    if clock_speed == math.inf:
+        raise ConfigError(f"logical clock speed 1e9 / {cycle_time!r} ns exceeds float range")
     return LogicalQubitProfile(
         code_distance=code_distance,
         physical_qubits_per_logical_qubit=footprint,
         logical_cycle_time=cycle_time,
-        logical_clock_speed=1e9 / cycle_time,
+        logical_clock_speed=clock_speed,
         logical_error_rate_per_cycle=logical_error_rate(
             scheme, effective_physical_error_rate(params), code_distance
         ),

@@ -4,7 +4,8 @@ A report always carries the same eight groups, so consumers can rely on
 a fixed schema even for degenerate workloads: physical resource
 estimates, the resource breakdown, logical qubit parameters, T factory
 parameters, pre-layout logical resources, the assumed error budget, the
-physical qubit parameters, and the estimation assumptions.
+physical qubit parameters, and the estimation assumptions.  Each key is
+the camelCase of a field name (see :class:`~.errors.JsonRecord`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counts import LogicalCounts
+from .errors import JsonRecord
 from .qec import LogicalQubitProfile, PhysicalQubitParams
 from .tfactory import TFactoryPlan
 
@@ -26,7 +28,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BudgetPartition:
+class BudgetPartition(JsonRecord):
     """Total error budget and its three shares.
 
     The shares always sum back to the total: the logical share is
@@ -39,33 +41,18 @@ class BudgetPartition:
     t_states: float
     rotations: float
 
-    def as_mapping(self) -> dict:
-        return {
-            "total": self.total,
-            "logical": self.logical,
-            "tStates": self.t_states,
-            "rotations": self.rotations,
-        }
-
 
 @dataclass(frozen=True)
-class PhysicalResourceEstimates:
+class PhysicalResourceEstimates(JsonRecord):
     """Headline outputs: runtime (ns), rQOPS, and physical qubits."""
 
     runtime: float
     rqops: float
     physical_qubits: int
 
-    def as_mapping(self) -> dict:
-        return {
-            "runtime": self.runtime,
-            "rqops": self.rqops,
-            "physicalQubits": self.physical_qubits,
-        }
-
 
 @dataclass(frozen=True)
-class ResourceEstimatesBreakdown:
+class ResourceEstimatesBreakdown(JsonRecord):
     logical_qubits_post_layout: int
     algorithmic_depth: int
     num_t_states: int
@@ -76,28 +63,17 @@ class ResourceEstimatesBreakdown:
     required_t_state_error: Optional[float]
     slowdown_applied: float
 
-    def as_mapping(self) -> dict:
-        return {
-            "logicalQubitsPostLayout": self.logical_qubits_post_layout,
-            "algorithmicDepth": self.algorithmic_depth,
-            "numTStates": self.num_t_states,
-            "numTFactoryCopies": self.num_t_factory_copies,
-            "algorithmicPhysicalQubits": self.algorithmic_physical_qubits,
-            "tFactoryPhysicalQubits": self.t_factory_physical_qubits,
-            "requiredLogicalErrorRate": self.required_logical_error_rate,
-            "requiredTStateError": self.required_t_state_error,
-            "slowdownApplied": self.slowdown_applied,
-        }
-
 
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(JsonRecord):
     """Full estimation result.
 
     Invariants: ``physicalQubits`` is the sum of the algorithmic and
     factory qubits, ``rqops`` equals logical qubits times logical clock
     speed, and ``runtime`` equals depth times cycle time times the
-    applied slowdown; all three hold as exact float identities.
+    applied slowdown; all three hold as exact float identities.  The
+    field order is the group order of the schema, and every number is
+    finite: :meth:`to_json` writes strict JSON.
     """
 
     physical_resource_estimates: PhysicalResourceEstimates
@@ -109,23 +85,6 @@ class EstimateReport:
     physical_qubit_parameters: PhysicalQubitParams
     assumptions: tuple[str, ...]
 
-    def as_mapping(self) -> dict:
-        # group order is part of the schema; serialization must be stable
-        return {
-            "physicalResourceEstimates": self.physical_resource_estimates.as_mapping(),
-            "resourceEstimatesBreakdown": self.resource_estimates_breakdown.as_mapping(),
-            "logicalQubitParameters": self.logical_qubit_parameters.as_mapping(),
-            "tFactoryParameters": self.t_factory_parameters.as_mapping(),
-            "preLayoutLogicalResources": (
-                None
-                if self.pre_layout_logical_resources is None
-                else self.pre_layout_logical_resources.as_mapping()
-            ),
-            "assumedErrorBudget": self.assumed_error_budget.as_mapping(),
-            "physicalQubitParameters": self.physical_qubit_parameters.as_mapping(),
-            "assumptions": list(self.assumptions),
-        }
-
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Serialize deterministically: same report, same bytes."""
-        return json.dumps(self.as_mapping(), indent=indent)
+        return json.dumps(self.as_mapping(), indent=indent, allow_nan=False)

@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     FactoryConstraintInfeasibleError,
     InvalidPartitionError,
+    JsonRecord,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
     read_choice,
@@ -80,7 +81,7 @@ class Applicability(str, Enum):
 
 
 @dataclass(frozen=True)
-class DistillationUnit:
+class DistillationUnit(JsonRecord):
     """One distillation stage, e.g. a 15-to-1 round.
 
     The four formulas are evaluated with the distillation variable set:
@@ -97,6 +98,11 @@ class DistillationUnit:
     physical_qubits: FormulaExpr
     duration: FormulaExpr
     applicability: Applicability = Applicability.BOTH
+
+    _RENAMED = dict(zip(
+        ("failure_probability", "output_error_rate", "physical_qubits", "duration"),
+        _FORMULA_FIELDS,
+    ))
 
     def __post_init__(self):
         if self.num_output_ts < 1 or self.num_input_ts <= self.num_output_ts:
@@ -141,18 +147,6 @@ class DistillationUnit:
             applicability=read_choice(applicability, "applicability", Applicability),
         )
 
-    def as_mapping(self) -> dict:
-        return {
-            "name": self.name,
-            "numInputTs": self.num_input_ts,
-            "numOutputTs": self.num_output_ts,
-            "failureProbabilityFormula": formulas.to_source(self.failure_probability),
-            "outputErrorRateFormula": formulas.to_source(self.output_error_rate),
-            "physicalQubitsFormula": formulas.to_source(self.physical_qubits),
-            "durationFormula": formulas.to_source(self.duration),
-            "applicability": self.applicability.value,
-        }
-
     def allowed_distances(self, max_code_distance: int) -> tuple[int, ...]:
         """Code distances this unit may run at; distance 1 means physical level."""
         distances: list[int] = []
@@ -179,7 +173,7 @@ def default_units() -> tuple[DistillationUnit, ...]:
 
 
 @dataclass(frozen=True)
-class FactoryRound:
+class FactoryRound(JsonRecord):
     unit: DistillationUnit
     code_distance: int
     num_parallel_units: int
@@ -193,7 +187,7 @@ class FactoryRound:
 
 
 @dataclass(frozen=True)
-class TFactoryPlan:
+class TFactoryPlan(JsonRecord):
     """A distillation chain plus the fleet that executes it.
 
     ``rounds`` through ``t_states_per_run`` describe one factory copy;
@@ -213,17 +207,6 @@ class TFactoryPlan:
     @property
     def factory_physical_qubits(self) -> int:
         return self.num_copies * self.physical_qubits_per_copy
-
-    def as_mapping(self) -> dict:
-        return {
-            "rounds": [r.as_mapping() for r in self.rounds],
-            "outputErrorRate": self.output_error_rate,
-            "durationPerRun": self.duration_per_run,
-            "physicalQubitsPerCopy": self.physical_qubits_per_copy,
-            "tStatesPerRun": self.t_states_per_run,
-            "numCopies": self.num_copies,
-            "runsPerCopy": self.runs_per_copy,
-        }
 
 
 #: Placeholder plan for workloads that consume no T states.
@@ -482,14 +465,19 @@ def size_fleet(
     """
     if total_t_states < 0:
         raise ConfigError(f"total T states must be >= 0, got {total_t_states}")
-    if total_t_states == 0:
-        return replace(plan, num_copies=0, runs_per_copy=0), 1.0
     if not 0.0 < algorithm_runtime < math.inf:
         raise ConfigError(f"runtime must be positive and finite, got {algorithm_runtime!r} ns")
+    if total_t_states == 0:
+        return replace(plan, num_copies=0, runs_per_copy=0), 1.0
     constraints = constraints or TFactoryConstraints()
     duration = plan.duration_per_run
     per_run = plan.t_states_per_run
 
+    if algorithm_runtime // duration == math.inf:
+        raise ConfigError(
+            f"runtime {algorithm_runtime:g} ns holds more factory runs of {duration:g} ns "
+            "than float range"
+        )
     runs = int(algorithm_runtime // duration)
     if runs >= 1:
         copies = -(-total_t_states // (runs * per_run))

@@ -2,9 +2,10 @@
 
 Each node of a set of jobs that holds every kind of record, and each
 node of some trace records, is replaced, in turn, by each of a fixed set
-of bad values, and the job is run through ``cli.main``.  Whatever the
-value, the run must exit 0 (the value happens to be valid), 2
-(configuration error) or 3 (infeasible), never 1 (internal error), and
+of bad values, and the job is run through ``cli.main``; so are jobs whose
+scheme and unit formulas are random trees over the formula grammar.
+Whatever the value, the run must exit 0 (the value happens to be valid),
+2 (configuration error) or 3 (infeasible), never 1 (internal error), and
 stdout and stderr must each be empty or strict JSON.
 """
 
@@ -16,8 +17,11 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ftqc_estimator import cli
+from ftqc_estimator.formulas import DISTILLATION_VARIABLES, FUNCTIONS, QEC_SCHEME_VARIABLES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,4 +154,95 @@ def test_every_bad_trace_value_fails_cleanly(line, tmp_path):
             trace.write_text("\n".join([*lines[:line], json.dumps(bad), *lines[line + 1 :]]) + "\n")
             where = f"line {line + 1} {'.'.join(map(str, path)) or 'record'} = {json.dumps(value)}"
             problems += run_problems(["estimate", "--job", str(tmp_path / "job.json")], where)
+    assert not problems, "\n".join(problems)
+
+
+# Formula text over the grammar: literals at the edges of float range,
+# bound variables, every operator and function, so values overflow,
+# underflow, vanish or leave a function's domain.
+_EDGES = ("0", "1e-310", "1e-305", "1e303", "1e308")
+_LITERALS = ("1", "2", "0.5", "1e300", *_EDGES)
+
+
+def formula_text(default, variables):
+    return st.recursive(
+        st.sampled_from((*_LITERALS, *sorted(variables), f"({default})")),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join).map("({})".format),
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map("{0[0]}({0[1]})".format),
+            inner.map("-({})".format),
+        ),
+        max_leaves=6,
+    )
+
+
+def changed_formula(default, variables):
+    """The working ``default`` formula times an edge literal, which gets past
+    the other stages with its values at the edges, or a random tree that may
+    hold ``default`` as a leaf."""
+    return st.one_of(
+        st.sampled_from(_EDGES).map(lambda edge: f"{edge} * ({default})"),
+        formula_text(default, variables),
+    )
+
+
+FUZZ_SCHEME = {
+    "name": "fuzzed",
+    "crossingPrefactor": 0.03,
+    "errorCorrectionThreshold": 0.01,
+    "logicalCycleTime": "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance",
+    "physicalQubitsPerLogicalQubit": "2 * codeDistance ^ 2",
+    "maxCodeDistance": 15,
+}
+FUZZ_UNIT = {
+    "name": "fuzzed",
+    "numInputTs": 15,
+    "numOutputTs": 1,
+    "failureProbabilityFormula": "15 * inputErrorRate",
+    "outputErrorRateFormula": "35 * inputErrorRate ^ 3",
+    "physicalQubitsFormula": "31 * physicalQubitsPerLogicalQubit",
+    "durationFormula": "11 * logicalCycleTime",
+}
+FUZZ_INPUTS = (
+    {"logicalCounts": {"numQubits": 4, "tCount": 1000, "measurementCount": 10}},
+    {"postLayout": {"logicalQubitsPostLayout": 100, "algorithmicDepth": 10**6}},  # T-free
+)
+# one or two of the six formulas changed, the others left working
+FORMULA_CHANGES = st.lists(
+    st.one_of(
+        *(
+            st.tuples(st.just(key), changed_formula(FUZZ_SCHEME[key], QEC_SCHEME_VARIABLES))
+            for key in ("logicalCycleTime", "physicalQubitsPerLogicalQubit")
+        ),
+        *(
+            st.tuples(st.just(key), changed_formula(FUZZ_UNIT[key], DISTILLATION_VARIABLES))
+            for key in FUZZ_UNIT
+            if key.endswith("Formula")
+        ),
+    ),
+    min_size=1,
+    max_size=2,
+).map(dict)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # one job file, rewritten
+)
+@given(job_input=st.sampled_from(FUZZ_INPUTS), changes=FORMULA_CHANGES)
+def test_random_formulas_fail_cleanly(tmp_path, job_input, changes):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "input": job_input,
+        "qubitParams": "qubit_gate_ns_e4",
+        "qecScheme": {key: changes.get(key, value) for key, value in FUZZ_SCHEME.items()},
+        "errorBudget": 1e-3,
+        "distillationUnits": [{key: changes.get(key, value) for key, value in FUZZ_UNIT.items()}],
+    }))
+    where = json.dumps({"input": job_input, **changes})
+    problems = run_problems(["estimate", "--job", str(job)], where)
+    problems += run_problems(["frontier", "--job", str(job), "--slowdown-grid", "1,4,1e300"], where)
     assert not problems, "\n".join(problems)

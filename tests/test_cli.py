@@ -252,10 +252,27 @@ class TestNumericValidation:
         assert code == 0, err
         assert run(capsys, "estimate", "--job", str(as_float)) == (0, expected, "")
 
-    def test_huge_value_is_echoed_short(self, tmp_path, capsys):
-        job = write_job(tmp_path, errorBudget="x" * 10**6)
+    @pytest.mark.parametrize(
+        "fields, kind, fragment",
+        [
+            ({"errorBudget": "x" * 10**6}, "ConfigError", "errorBudget must be a finite number"),
+            ({"qubitParams": "x" * 10**6}, "ConfigError", "unknown hardware profile"),
+            ({"qecScheme": "x" * 10**6}, "ConfigError", "unknown QEC scheme"),
+            (
+                {"input": {"logicalCounts": {"numQubits": 4, "tCount": "x" * 10**6}}},
+                "InvalidCountsError",
+                "'tCount': must be an integer",
+            ),
+        ],
+        ids=["errorBudget", "qubitParams", "qecScheme", "tCount"],
+    )
+    def test_huge_value_is_echoed_short(self, tmp_path, capsys, fields, kind, fragment):
+        job = write_job(tmp_path, **fields)
         code, out, err = run(capsys, "estimate", "--job", str(job))
-        assert_config_error(code, out, err, "errorBudget must be a finite number")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == kind
+        assert fragment in error["message"]
         assert len(err) < 1000
 
     def test_nan_slowdown_cap_exits_2(self, tmp_path, capsys):
@@ -412,6 +429,49 @@ class TestOutsideModelDomain:
         bad, good = out.strip().splitlines()[1:]
         assert "ConfigError: " in bad
         assert good.endswith(",")
+
+
+def t_free_job(cycle_time):
+    """Fields of a T-free post-layout job whose scheme has this cycle time."""
+    return {
+        "input": {"postLayout": {"logicalQubitsPostLayout": 100, "algorithmicDepth": 2000}},
+        "qecScheme": dict(SURFACE_SCHEME, logicalCycleTime=cycle_time),
+    }
+
+
+# Jobs in which a value the estimate derives leaves float range at every
+# slowdown, and the stage that rejects it: the factory runs that fit in the
+# runtime, the runtime of a T-free job, the logical clock speed and rQOPS.
+BEYOND_FLOAT_RANGE = {
+    "factory_runs": (
+        {"distillationUnits": [dict(UNIT_15_TO_1, durationFormula="1e-305")]},
+        "t-factory-sizing",
+    ),
+    "t_free_runtime": (t_free_job("1e306 * codeDistance"), "t-factory-sizing"),
+    "clock_speed": (t_free_job("1e-310 * codeDistance"), "logical-qubit-profile"),
+    "rqops": (t_free_job("1e-299 * codeDistance"), "logical-qubit-profile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
+class TestBeyondFloatRange:
+    def test_estimate_exits_2(self, tmp_path, capsys, case):
+        fields, stage = BEYOND_FLOAT_RANGE[case]
+        code, out, err = run(capsys, "estimate", "--job", str(write_job(tmp_path, **fields)))
+        assert (code, out) == (2, "")
+        error = strict_json(err)["error"]
+        assert (error["type"], error["stage"]) == ("ConfigError", stage)
+
+    def test_frontier_lists_the_failure_at_every_factor(self, tmp_path, capsys, case):
+        fields, stage = BEYOND_FLOAT_RANGE[case]
+        job = str(write_job(tmp_path, **fields))
+        code, out, err = run(capsys, "frontier", "--job", job, "--slowdown-grid", "1,2")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["points"] == []
+        assert [(row["slowdown"], row["type"], row["stage"]) for row in payload["errors"]] == [
+            (s, "ConfigError", stage) for s in (1.0, 2.0)
+        ]
 
 
 class TestUnreadableFiles:
@@ -620,6 +680,18 @@ class TestFrontierCommand:
         with pytest.raises(EstimationStageError) as excinfo:
             jobs.run_job(jobs.load_job(job), slowdown=1e308)
         assert cli._failure(excinfo.value) == (cli.EXIT_CONFIG, {k: row[k] for k in ("type", "message", "stage")})
+
+
+    def test_factory_runs_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        unit = dict(UNIT_15_TO_1, durationFormula="1e-300")
+        job = str(write_job(tmp_path, distillationUnits=[unit]))
+        code, out, err = run(capsys, "frontier", "--job", job, "--slowdown-grid", "1,1e300")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert [p["slowdown"] for p in payload["points"]] == [1.0]
+        [row] = payload["errors"]
+        assert (row["type"], row["stage"]) == ("ConfigError", "t-factory-sizing")
+        assert row["slowdown"] == 1e300 and "float range" in row["message"]
 
 
 class TestProfilesCommand:

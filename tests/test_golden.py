@@ -18,11 +18,14 @@ from pathlib import Path
 import pytest
 
 from ftqc_estimator import cli
+from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE
+from ftqc_estimator.tfactory import DEFAULT_15_TO_1
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # case -> CLI arguments after the job path: a slowdown grid makes a
-# frontier case, a swept parameter a sweep case, anything else an estimate
+# frontier case, a swept parameter a sweep case, anything else an estimate;
+# a case named profiles* runs the profiles command, which takes no job
 CASES = {
     "gate_ns_e3_counts": (),
     "gate_ns_e4_trace": (),
@@ -47,14 +50,21 @@ CASES = {
     "trace_use_after_release": (),
     "estimate_table": ("--format", "table"),
     "sweep_error_row": ("--param", "errorBudget", "--values", "0.001,2"),
+    "profiles_table": (),
+    "profiles_structured": ("--format", "structured"),
 }
 
 
 def run_case(name):
     extra = CASES[name]
-    command = (
-        "frontier" if "--slowdown-grid" in extra else "sweep" if "--param" in extra else "estimate"
-    )
+    if name.startswith("profiles"):
+        argv = ["profiles", *extra]
+    else:
+        command = (
+            "frontier" if "--slowdown-grid" in extra
+            else "sweep" if "--param" in extra else "estimate"
+        )
+        argv = [command, "--job", f"{name}.json", *extra]
     out, err = io.StringIO(), io.StringIO()
     # a relative job path keeps trace paths in error messages independent
     # of where the repository lives
@@ -62,16 +72,49 @@ def run_case(name):
     os.chdir(GOLDEN)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, "--job", f"{name}.json", *extra])
+            code = cli.main(argv)
     finally:
         os.chdir(cwd)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_is_byte_identical(name):
+def test_output_is_byte_identical(name, monkeypatch):
+    monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)  # the built-in profiles
     expected = json.loads((GOLDEN / "expected" / f"{name}.json").read_text())
     assert run_case(name) == expected
+
+
+# json.dumps of each built-in record's as_mapping, byte for byte
+RECORDS = [
+    (
+        SURFACE_CODE,
+        '{"name": "surface_code", "crossingPrefactor": 0.03, "errorCorrectionThreshold": 0.01, '
+        '"logicalCycleTime": "(4.0 * twoQubitGateTime + 2.0 * oneQubitMeasurementTime) * '
+        'codeDistance", "physicalQubitsPerLogicalQubit": "2.0 * codeDistance ^ 2.0", '
+        '"maxCodeDistance": 51}',
+    ),
+    (
+        FLOQUET_CODE,
+        '{"name": "floquet_code", "crossingPrefactor": 0.07, "errorCorrectionThreshold": 0.01, '
+        '"logicalCycleTime": "3.0 * codeDistance * oneQubitMeasurementTime", '
+        '"physicalQubitsPerLogicalQubit": "4.0 * codeDistance ^ 2.0 + 8.0 * (codeDistance - 1.0)", '
+        '"maxCodeDistance": 51}',
+    ),
+    (
+        DEFAULT_15_TO_1,
+        '{"name": "15-to-1", "numInputTs": 15, "numOutputTs": 1, '
+        '"failureProbabilityFormula": "15.0 * inputErrorRate", '
+        '"outputErrorRateFormula": "35.0 * inputErrorRate ^ 3.0", '
+        '"physicalQubitsFormula": "31.0 * physicalQubitsPerLogicalQubit", '
+        '"durationFormula": "11.0 * logicalCycleTime", "applicability": "both"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("record, expected", RECORDS, ids=[r.name for r, _ in RECORDS])
+def test_builtin_record_is_byte_identical(record, expected):
+    assert json.dumps(record.as_mapping()) == expected
 
 
 def record() -> None:
