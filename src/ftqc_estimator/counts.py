@@ -28,13 +28,13 @@ from typing import Iterable, Iterator, Mapping, TextIO, Union
 
 from .errors import (
     ArityMismatchError,
-    ConfigError,
     DoubleAllocError,
     InvalidCountsError,
     JsonRecord,
     TraceFormatError,
     UseAfterReleaseError,
     _shown,
+    _unreadable,
     read_file,
 )
 
@@ -314,4 +314,4 @@ def read_trace(path: Union[str, Path]) -> Iterator[TraceEvent]:
         # a decode error gives its position within one block; reading the
         # whole file again reports it in the file
         read_file(path, "trace file", len)
-        raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
+        raise _unreadable("trace file", path, exc) from exc

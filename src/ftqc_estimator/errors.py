@@ -245,14 +245,21 @@ def read_choice(value, what: str, choices: type[Enum]):
 def read_file(path, what: str, parse: Callable = json.loads):
     """``parse`` applied to the UTF-8 text of the file at ``path`` (a path
     object); a file that cannot be read or decoded is a ConfigError."""
+    shown = _shown(str(path))
     try:
         return parse(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise _unreadable(what, path, exc) from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}") from exc
+        raise ConfigError(f"{what} {shown} is not valid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # int-string limit, or nested too deep
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {shown} is not valid JSON: {exc}") from exc
+
+
+def _unreadable(what: str, path, exc: Exception) -> ConfigError:
+    """The error for a file that cannot be read; an OS error's text repeats
+    the file name, so both echoes are cut like any other."""
+    return ConfigError(f"cannot read {what} {_shown(str(path))}: {_shown(str(exc))}")
 
 
 def _camel(name: str) -> str:

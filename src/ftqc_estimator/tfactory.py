@@ -266,9 +266,9 @@ _DISTANCE_VARIABLES = frozenset(
 )
 
 
-def _parallel_units(sequence: Sequence[DistillationUnit]) -> list[int]:
-    """Units per round so each round feeds the next; the last runs once."""
-    counts = [1] * len(sequence)
+def _parallel_units(sequence: Sequence[DistillationUnit], last: int = 1) -> list[int]:
+    """Units per round so each round feeds the next; the last runs ``last`` times."""
+    counts = [last] * len(sequence)
     for k in range(len(sequence) - 2, -1, -1):
         needed = counts[k + 1] * sequence[k + 1].num_input_ts
         counts[k] = -(-needed // sequence[k].num_output_ts)
@@ -297,6 +297,21 @@ def _search(
     lazily: a code distance maps to the variables of a round at that
     distance (None where the scheme rejects distance 1), and None to the
     base variables, which the error formulas of a distance-free unit read.
+    A branch whose cost formulas do not read ``inputErrorRate`` has the
+    same raw qubits and duration in every chain; they are memoized per
+    search the first time the branch gets that far, so failure, output
+    and costs are still evaluated, and any formula error raised, in the
+    order of a search without the memo.
+
+    Two bounds drop work that cannot win.  A round is dropped when even
+    one unit of it is wider than the best cap so far.  A chain that has
+    not reached the target needs another round, so its last round runs at
+    least ``ceil(min numInputTs / numOutputTs)`` units and each earlier
+    round at least what it takes to feed that (the lookahead width bound);
+    the chain is not extended when that lower bound on the cap of any
+    completion is strictly above the best cap, so chains with an equal cap
+    still compete on duration.  Neither bound can change the winner, but a
+    formula that would raise only inside a cut subtree is never evaluated.
 
     Scoring a chain: the narrowest feasible copy is
     ``cap = max_k min_d parallel_k * qubits_k(d)``, and under that cap each
@@ -331,29 +346,40 @@ def _search(
                 }
         return table[distance]
 
-    # (unit, distance its errors are evaluated at or None, distance options)
+    # (unit, distance its errors are evaluated at or None, distance options,
+    # whether its costs ignore the input error)
     branches = []
     for unit in units:
         distances = unit.allowed_distances(scheme.max_code_distance)
         used = formulas.variables(unit.failure_probability) | formulas.variables(
             unit.output_error_rate
         )
+        fixed_cost = "inputErrorRate" not in (
+            formulas.variables(unit.physical_qubits) | formulas.variables(unit.duration)
+        )
         if used & _DISTANCE_VARIABLES:
-            branches.extend((unit, d, (d,)) for d in distances)
+            branches.extend((unit, d, (d,), fixed_cost) for d in distances)
         else:
-            branches.append((unit, None, distances))
+            branches.append((unit, None, distances, fixed_cost))
+    # branch index -> its available (raw duration, unit qubits, distance)
+    costs: dict[int, list[tuple[float, int, int]]] = {}
+    min_inputs = min(unit.num_input_ts for unit in units)
 
     best_key: Optional[tuple] = None
     best_plan: Optional[TFactoryPlan] = None
-    # per round: (unit, options as (expected duration, unit qubits, distance))
-    chain: list[tuple[DistillationUnit, list[tuple[float, int, int]]]] = []
+    # per round: (unit, options as (expected duration, unit qubits, distance),
+    # qubits of its narrowest option)
+    chain: list[tuple[DistillationUnit, list[tuple[float, int, int]], int]] = []
+
+    def narrowest_cap(parallel: list[int]) -> int:
+        return max(m * narrowest for m, (_, _, narrowest) in zip(parallel, chain))
 
     def score(output_error: float) -> None:
         nonlocal best_key, best_plan
-        parallel = _parallel_units([unit for unit, _ in chain])
-        cap = max(m * min(q for _, q, _ in opts) for m, (_, opts) in zip(parallel, chain))
+        parallel = _parallel_units([unit for unit, _, _ in chain])
+        cap = narrowest_cap(parallel)
         picks = [
-            min(o for o in opts if m * o[1] <= cap) for m, (_, opts) in zip(parallel, chain)
+            min(o for o in opts if m * o[1] <= cap) for m, (_, opts, _) in zip(parallel, chain)
         ]
         total_duration = sum(duration for duration, _, _ in picks)
         key = (cap, total_duration, len(chain))
@@ -362,7 +388,7 @@ def _search(
             best_plan = TFactoryPlan(
                 rounds=tuple(
                     FactoryRound(unit=unit, code_distance=d, num_parallel_units=m)
-                    for m, (unit, _), (_, _, d) in zip(parallel, chain, picks)
+                    for m, (unit, _, _), (_, _, d) in zip(parallel, chain, picks)
                 ),
                 output_error_rate=output_error,
                 duration_per_run=total_duration,
@@ -371,7 +397,7 @@ def _search(
             )
 
     def visit(error: float) -> None:
-        for unit, at, distances in branches:
+        for index, (unit, at, distances, fixed_cost) in enumerate(branches):
             row = variables_at(at)
             if row is None:
                 continue
@@ -382,28 +408,38 @@ def _search(
             output = formulas.evaluate(unit.output_error_rate, env)
             if not 0.0 < output < 1.0:
                 continue
-            options = []
-            for d in distances:
-                row = variables_at(d)
-                if row is None:
-                    continue
-                cost_env = env if d == at else {**row, "inputErrorRate": error}
-                qubits = formulas.evaluate(unit.physical_qubits, cost_env)
-                duration = formulas.evaluate(unit.duration, cost_env)
-                # an overflowed or NaN cost makes the round unavailable, as a
-                # non-positive one does
-                if 1.0 <= qubits < math.inf and 0.0 < duration < math.inf:
-                    options.append((duration / (1.0 - failure), math.ceil(qubits), d))
-            # any completion needs at least one unit per round
-            if not options or (
-                best_key is not None and min(q for _, q, _ in options) > best_key[0]
-            ):
+            raw = costs.get(index)
+            if raw is None:
+                raw = []
+                for d in distances:
+                    row = variables_at(d)
+                    if row is None:
+                        continue
+                    cost_env = env if d == at else {**row, "inputErrorRate": error}
+                    qubits = formulas.evaluate(unit.physical_qubits, cost_env)
+                    duration = formulas.evaluate(unit.duration, cost_env)
+                    # an overflowed or NaN cost makes the round unavailable,
+                    # as a non-positive one does
+                    if 1.0 <= qubits < math.inf and 0.0 < duration < math.inf:
+                        raw.append((duration, math.ceil(qubits), d))
+                if fixed_cost:
+                    costs[index] = raw
+            if not raw:
                 continue
-            chain.append((unit, options))
+            # any completion needs at least one unit per round
+            narrowest = min(q for _, q, _ in raw)
+            if best_key is not None and narrowest > best_key[0]:
+                continue
+            options = [(duration / (1.0 - failure), q, d) for duration, q, d in raw]
+            chain.append((unit, options, narrowest))
             if output <= required_error:
                 score(output)
             elif len(chain) < max_rounds:
-                visit(output)
+                # the next round takes at least min_inputs states from this one
+                least = -(-min_inputs // unit.num_output_ts)
+                parallel = _parallel_units([u for u, _, _ in chain], least)
+                if best_key is None or narrowest_cap(parallel) <= best_key[0]:
+                    visit(output)
             chain.pop()
 
     visit(input_error)

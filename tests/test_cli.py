@@ -258,13 +258,14 @@ class TestNumericValidation:
             ({"errorBudget": "x" * 10**6}, "ConfigError", "errorBudget must be a finite number"),
             ({"qubitParams": "x" * 10**6}, "ConfigError", "unknown hardware profile"),
             ({"qecScheme": "x" * 10**6}, "ConfigError", "unknown QEC scheme"),
+            ({"input": {"tracePath": "x" * 10**6}}, "ConfigError", "cannot read trace file"),
             (
                 {"input": {"logicalCounts": {"numQubits": 4, "tCount": "x" * 10**6}}},
                 "InvalidCountsError",
                 "'tCount': must be an integer",
             ),
         ],
-        ids=["errorBudget", "qubitParams", "qecScheme", "tCount"],
+        ids=["errorBudget", "qubitParams", "qecScheme", "tracePath", "tCount"],
     )
     def test_huge_value_is_echoed_short(self, tmp_path, capsys, fields, kind, fragment):
         job = write_job(tmp_path, **fields)
@@ -273,6 +274,20 @@ class TestNumericValidation:
         error = json.loads(err)["error"]
         assert error["type"] == kind
         assert fragment in error["message"]
+        assert len(err) < 1000
+
+    def test_huge_profile_name_in_profile_dir_is_echoed_short(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the profile file name is too long to open; the error repeats it
+        # in the path and in the OS error's text
+        monkeypatch.setenv("FTQC_PROFILE_DIR", str(tmp_path))
+        job = write_job(tmp_path, qubitParams="x" * 10**6)
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert (code, out) == (2, "")
+        error = strict_json(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("cannot read profile ")
         assert len(err) < 1000
 
     def test_nan_slowdown_cap_exits_2(self, tmp_path, capsys):

@@ -52,6 +52,8 @@ CASES = {
     "sweep_error_row": ("--param", "errorBudget", "--values", "0.001,2"),
     "profiles_table": (),
     "profiles_structured": ("--format", "structured"),
+    # the factory search's worst case: 8 distance-dependent units at d <= 51
+    "eight_units_d51": (),
 }
 
 

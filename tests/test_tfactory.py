@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ftqc_estimator.errors import (
     ConfigError,
+    DivisionByZeroError,
     FactoryConstraintInfeasibleError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
@@ -324,6 +325,120 @@ class TestSearchMatchesOracle:
         assert oracle_search(units, small_scheme, params, 1e-3, 1e-70) is None
         with pytest.raises(NoFeasiblePipelineError):
             search_pipeline(units, small_scheme, params, 1e-3, 1e-70)
+
+
+def physical_unit(name, inputs, outputs, failure, output, qubits, duration):
+    return DistillationUnit.from_strings(
+        name, inputs, outputs, failure, output, qubits, duration, Applicability.PHYSICAL_ONLY
+    )
+
+
+# one round of it reaches 1e-7 from 1e-3 at 31 logical qubits' footprint
+PHYSICAL_15_TO_1 = dataclasses.replace(
+    DEFAULT_15_TO_1, name="15-to-1-physical", applicability=Applicability.PHYSICAL_ONLY
+)
+
+
+def nine_to_one(failure="9 * inputErrorRate"):
+    # narrower than 15-to-1, but one round only reaches 1e-5, and any next
+    # round needs at least 9 of them: 36 logical qubits' footprint
+    return physical_unit(
+        "9-to-1", 9, 1, failure, "10 * inputErrorRate ^ 2",
+        "4 * physicalQubitsPerLogicalQubit", "5 * logicalCycleTime",
+    )
+
+
+def input_errors_seen(monkeypatch):
+    """The inputErrorRate of every unit formula evaluation from now on."""
+    seen = set()
+    evaluate_once = formulas.evaluate
+
+    def recording(expr, env):
+        if "inputErrorRate" in env:  # not a scheme formula
+            seen.add(env["inputErrorRate"])
+        return evaluate_once(expr, env)
+
+    monkeypatch.setattr(formulas, "evaluate", recording)
+    return seen
+
+
+class TestSearchBounds:
+    def test_lookahead_cuts_a_wide_prefix(self, small_scheme, monkeypatch):
+        units = (PHYSICAL_15_TO_1, nine_to_one())
+        params = majorana_params(t_gate_error_rate=1e-3)
+        expected = oracle_search(units, small_scheme, params, 1e-3, 1e-7)
+        seen = input_errors_seen(monkeypatch)
+        plan = search_pipeline(units, small_scheme, params, 1e-3, 1e-7)
+        assert chosen_rounds(plan) == expected[3] == [("15-to-1-physical", 1)]
+        assert plan.physical_qubits_per_copy == expected[0]
+        # one 9-to-1 is narrower than the 15-to-1 chain, so it is a round of
+        # its own, but the 9 it takes to feed a next round are wider: the
+        # 9-to-1 prefix is never extended
+        assert seen == {1e-3}
+
+    def test_equal_cap_still_competes_on_duration(self, small_scheme):
+        # one slow round at 30 qubits reaches the target; a fast prefix of 3
+        # qubits has a lookahead bound of 10 * 3 = 30, equal to that cap, and
+        # two fast rounds reach the target at cap 30 in a fiftieth of the time
+        slow = physical_unit("slow", 15, 1, "15 * inputErrorRate",
+                             "35 * inputErrorRate ^ 3", "30", "1000")
+        fast = physical_unit("fast", 10, 1, "inputErrorRate", "inputErrorRate ^ 2", "3", "10")
+        units = (slow, fast)
+        params = majorana_params(t_gate_error_rate=1e-3)
+        expected = oracle_search(units, small_scheme, params, 1e-3, 1e-7)
+        plan = search_pipeline(units, small_scheme, params, 1e-3, 1e-7)
+        assert chosen_rounds(plan) == expected[3] == [("fast", 1), ("fast", 1)]
+        assert [r.num_parallel_units for r in plan.rounds] == [10, 1]
+        assert plan.physical_qubits_per_copy == expected[0] == 30
+        assert plan.duration_per_run == pytest.approx(expected[1])
+
+    def test_costs_that_read_the_input_error_are_not_memoized(self, small_scheme):
+        # both rounds use this unit; the second sees a far cleaner input, so
+        # it is narrower and shorter than the first
+        noisy = dataclasses.replace(
+            PHYSICAL_15_TO_1,
+            name="noisy-cost",
+            physical_qubits=formulas.parse_formula(
+                "31 * physicalQubitsPerLogicalQubit * (1 + 100 * inputErrorRate)"
+            ),
+            duration=formulas.parse_formula("11 * logicalCycleTime * (1 + 100 * inputErrorRate)"),
+        )
+        params = majorana_params(t_gate_error_rate=1e-3)
+        expected = oracle_search((noisy,), small_scheme, params, 1e-3, 1e-12)
+        plan = search_pipeline((noisy,), small_scheme, params, 1e-3, 1e-12)
+        assert chosen_rounds(plan) == expected[3] == [("noisy-cost", 1)] * 2
+        assert plan.physical_qubits_per_copy == expected[0]
+        assert plan.duration_per_run == pytest.approx(expected[1])
+        # a logical cycle at distance 1 takes 300 ns
+        first_round = 11 * 300.0 * (1 + 100 * 1e-3) / (1 - 15 * 1e-3)
+        assert plan.duration_per_run != pytest.approx(2 * first_round)
+
+
+class TestSearchErrorOrder:
+    def test_first_failing_cost_formula_in_distance_order(self, small_scheme):
+        # a distance-free unit: its qubits formula fails at every distance
+        # from 9 on and its duration divides by zero at 7; costs are
+        # evaluated per ascending distance, so the division comes first
+        unit = DistillationUnit.from_strings(
+            "div-at-7", 15, 1, "15 * inputErrorRate", "35 * inputErrorRate ^ 3",
+            "20 * physicalQubitsPerLogicalQubit * sqrt(7.5 - codeDistance)",
+            "11 * logicalCycleTime / (codeDistance - 7)",
+            Applicability.LOGICAL_ONLY,
+        )
+        params = majorana_params(t_gate_error_rate=1e-3)
+        for units in ((PHYSICAL_15_TO_1, unit), (unit, PHYSICAL_15_TO_1)):
+            with pytest.raises(DivisionByZeroError, match=r"^23100 / 0$"):
+                search_pipeline(units, small_scheme, params, 1e-3, 1e-7)
+
+    def test_formula_failing_only_in_a_cut_subtree_is_not_evaluated(self, small_scheme):
+        # the 9-to-1's failure formula divides by zero for inputs below 1e-4,
+        # i.e. in any round after its own.  An exhaustive search raises
+        # DivisionByZeroError("1e-05 / 0") there; the lookahead bound never
+        # extends the 9-to-1 prefix, so the search returns the 15-to-1 chain
+        units = (PHYSICAL_15_TO_1, nine_to_one("inputErrorRate / floor(inputErrorRate * 1e4)"))
+        params = majorana_params(t_gate_error_rate=1e-3)
+        plan = search_pipeline(units, small_scheme, params, 1e-3, 1e-7)
+        assert chosen_rounds(plan) == [("15-to-1-physical", 1)]
 
 
 # error formulas: distance-free, then distance-dependent (a 1/d factor, or
