@@ -185,18 +185,8 @@ def cmd_profiles(fmt: str = "table", out_path: Optional[str] = None) -> int:
     )
     rows = [columns]
     for profile in listed:
-        params = profile.qubit_params.as_mapping()
-        rows.append(
-            (
-                profile.name,
-                params["instructionSet"],
-                str(params["tGateTime"]),
-                str(params["oneQubitMeasurementTime"]),
-                str(params["cliffordErrorRate"]),
-                str(params["tGateErrorRate"]),
-                profile.default_scheme_name,
-            )
-        )
+        record = {**profile.as_mapping(), **profile.qubit_params.as_mapping()}
+        rows.append(tuple(str(record[column]) for column in columns))
     widths = [max(len(row[i]) for row in rows) for i in range(len(columns))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
     _write_text(out_path, "\n".join(lines) + "\n")

@@ -89,7 +89,7 @@ class TraceEvent:
         if not isinstance(op, str):
             raise TraceFormatError(f"trace op must be a string{where}")
         if op not in EVENT_KINDS:
-            raise TraceFormatError(f"unknown trace op {op!r}{where}")
+            raise TraceFormatError(f"unknown trace op {_shown(repr(op))}{where}")
         qubits = record["q"]
         if not isinstance(qubits, (list, tuple)) or not all(
             isinstance(q, int) and not isinstance(q, bool) for q in qubits
@@ -184,7 +184,7 @@ def count_trace(events: Iterable[TraceEvent]) -> LogicalCounts:
             op = event.op
             qubits = event.qubits
             if op not in EVENT_KINDS:
-                raise TraceFormatError(f"unknown trace op {op!r} at event {index}")
+                raise TraceFormatError(f"unknown trace op {_shown(repr(op))} at event {index}")
             # one non-negative id passes every arity check but the
             # three-qubit ones
             if len(qubits) != 1 or qubits[0] < 0 or op in _THREE_QUBIT:

@@ -3,8 +3,9 @@
 Every error raised deliberately by this package derives from
 :class:`EstimatorError`, so callers can distinguish engine failures from
 programming mistakes with a single ``except`` clause.  The readers below
-decode job JSON into typed values; :class:`JsonRecord` writes a record
-back as JSON, each key the camelCase of its field's name.
+decode job JSON into typed values.  :class:`JsonRecord` reads and writes
+every record from its dataclass fields, each key the camelCase of its
+field's name, so a record's keys are spelled once, by its fields.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from enum import Enum
 from numbers import Real
-from typing import Callable, Optional
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 
 class EstimatorError(Exception):
@@ -49,13 +50,13 @@ class UnknownFunctionError(FormulaError):
     def __init__(self, name: str, position: int = 0):
         self.name = name
         self.position = position
-        super().__init__(f"unknown function {name!r} at position {position}")
+        super().__init__(f"unknown function {_shown(repr(name))} at position {position}")
 
 
 class UnboundVariableError(FormulaError):
     def __init__(self, name: str):
         self.name = name
-        super().__init__(f"variable {name!r} is not bound in the environment")
+        super().__init__(f"variable {_shown(repr(name))} is not bound in the environment")
 
 
 class DivisionByZeroError(FormulaError):
@@ -107,7 +108,7 @@ class InvalidCountsError(EstimatorError):
 
     def __init__(self, field: str, detail: str):
         self.field = field
-        super().__init__(f"invalid counts field {field!r}: {detail}")
+        super().__init__(f"invalid counts field {_shown(repr(field))}: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +269,15 @@ def _camel(name: str) -> str:
 
 
 class JsonRecord:
-    """Mixin giving a dataclass its JSON form: each field, in field order,
-    under the camelCase of its name or under its entry in ``_RENAMED``.
+    """Mixin giving a dataclass its JSON form, read and written from its
+    fields: each field, in field order, under the camelCase of its name or
+    under its entry in ``_RENAMED``.
 
     Values encode as: records by their own mapping, tuples as lists, enums
     by value, formula trees by their source text (their ``str``); None,
-    int, float and str pass through.  A record whose JSON is not one key
-    per field overrides :meth:`as_mapping`.
+    int, float and str pass through.  :meth:`from_mapping` reads the same
+    keys back.  A record whose JSON is not one key per field, or whose
+    decoding raises errors of its own, overrides them.
     """
 
     _RENAMED: dict[str, str] = {}
@@ -285,8 +288,64 @@ class JsonRecord:
         """(attribute, key) per field, in field order."""
         return tuple((f.name, cls._RENAMED.get(f.name) or _camel(f.name)) for f in fields(cls))
 
+    @classmethod
+    @functools.cache
+    def _json_readers(cls) -> tuple[tuple, frozenset, frozenset]:
+        """(attribute, key, reader) per field, then all keys and the keys
+        of the fields without a default, which are required."""
+        hints = get_type_hints(cls)
+        readers = tuple((attr, key, _reader(hints[attr])) for attr, key in cls._json_fields())
+        required = frozenset(
+            key
+            for f, (_, key) in zip(fields(cls), cls._json_fields())
+            if f.default is MISSING and f.default_factory is MISSING
+        )
+        return readers, frozenset(key for _, key, _ in readers), required
+
     def as_mapping(self) -> dict:
         return {key: _encoded(getattr(self, attr)) for attr, key in self._json_fields()}
+
+    @classmethod
+    def from_mapping(cls, data, what: str = ""):
+        """The record that :meth:`as_mapping` would write as ``data``.
+
+        A key whose field has a default may be absent or null, which leaves
+        the default.  Messages name the record as ``what`` (by default the
+        class name), then the key.
+        """
+        what = what or cls.__name__
+        readers, keys, required = cls._json_readers()
+        read_record(data, what, keys, required)
+        return cls(**{
+            attr: read(data[key], f"{what} {key}")
+            for attr, key, read in readers
+            if key in required or data.get(key) is not None
+        })
+
+
+def _reader(hint) -> Callable:
+    """The reader, called with (value, what), of a field annotated ``hint``:
+    ``Optional[X]`` reads as ``X``, a whole ``int`` and a finite ``float``
+    as numbers, a string enum by value, a record by its own
+    :meth:`~JsonRecord.from_mapping`, a formula from its source text."""
+    from .formulas import FormulaExpr, parse_formula  # formulas imports this module
+
+    options = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is Union and len(options) == 1:
+        hint = options[0]
+    if hint is float:
+        return read_number
+    if hint is int:
+        return functools.partial(read_number, whole=True)
+    if hint is str:
+        return read_string
+    if hint == FormulaExpr:
+        return lambda value, what: parse_formula(read_string(value, what))
+    if issubclass(hint, Enum):
+        return functools.partial(read_choice, choices=hint)
+    if issubclass(hint, JsonRecord):
+        return hint.from_mapping
+    raise TypeError(f"no JSON reader for fields of type {hint!r}")
 
 
 _PLAIN = frozenset({type(None), int, float, str})

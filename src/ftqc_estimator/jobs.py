@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from . import pipeline, profiles
 from .counts import LogicalCounts, count_trace, read_trace
-from .errors import ConfigError, read_file, read_number, read_record, read_string
+from .errors import ConfigError, read_file, read_record, read_string
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .pipeline import ErrorBudget, PostLayoutInput
 from .qec import PhysicalQubitParams, QecScheme, get_scheme
@@ -32,7 +32,6 @@ _JOB_FIELDS = _JOB_REQUIRED | {
     "rotationSynthesis",
 }
 _INPUT_FIELDS = frozenset({"tracePath", "logicalCounts", "postLayout"})
-_SYNTHESIS_FIELDS = frozenset({"a", "b"})
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def _parse_input(data, base_dir: Path):
     if "logicalCounts" in data:
         counts = read_record(data["logicalCounts"], "logicalCounts")
         return (None, LogicalCounts.from_mapping(counts), None)
-    return (None, None, PostLayoutInput.from_mapping(data["postLayout"]))
+    return (None, None, PostLayoutInput.from_mapping(data["postLayout"], "postLayout"))
 
 
 def _parse_qubit_params(value) -> tuple[PhysicalQubitParams, Optional[str]]:
@@ -71,7 +70,7 @@ def _parse_qubit_params(value) -> tuple[PhysicalQubitParams, Optional[str]]:
         profile = profiles.load_profile(value)
         return profile.qubit_params, profile.default_scheme_name
     if isinstance(value, dict):
-        return PhysicalQubitParams.from_mapping(value), None
+        return PhysicalQubitParams.from_mapping(value, "qubitParams"), None
     raise ConfigError("qubitParams must be a profile name or a parameter object")
 
 
@@ -85,7 +84,7 @@ def _parse_scheme(value, profile_default: Optional[str]) -> QecScheme:
     if isinstance(value, str):
         return get_scheme(value)
     if isinstance(value, dict):
-        return QecScheme.from_mapping(value)
+        return QecScheme.from_mapping(value, "qecScheme")
     raise ConfigError("qecScheme must be a scheme name or a scheme object")
 
 
@@ -102,18 +101,18 @@ def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
         raw_units = data["distillationUnits"]
         if not isinstance(raw_units, list) or not raw_units:
             raise ConfigError("distillationUnits must be a non-empty list")
-        units = tuple(DistillationUnit.from_mapping(u) for u in raw_units)
+        units = tuple(DistillationUnit.from_mapping(u, "distillation unit") for u in raw_units)
 
     constraints = None
     if "tFactoryConstraints" in data:
-        constraints = TFactoryConstraints.from_mapping(data["tFactoryConstraints"])
+        constraints = TFactoryConstraints.from_mapping(
+            data["tFactoryConstraints"], "tFactoryConstraints"
+        )
 
     synthesis = DEFAULT_SYNTHESIS
     if "rotationSynthesis" in data:
-        raw = read_record(data["rotationSynthesis"], "rotationSynthesis", _SYNTHESIS_FIELDS)
-        synthesis = RotationSynthesisConstants(
-            a=read_number(raw.get("a", DEFAULT_SYNTHESIS.a), "rotationSynthesis a"),
-            b=read_number(raw.get("b", DEFAULT_SYNTHESIS.b), "rotationSynthesis b"),
+        synthesis = RotationSynthesisConstants.from_mapping(
+            data["rotationSynthesis"], "rotationSynthesis"
         )
 
     return JobSpec(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .counts import LogicalCounts
-from .errors import ConfigError, InvalidBudgetError
+from .errors import ConfigError, InvalidBudgetError, JsonRecord
 
 __all__ = [
     "RotationSynthesisConstants",
@@ -31,7 +31,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RotationSynthesisConstants:
+class RotationSynthesisConstants(JsonRecord):
     """Scaling constants of the per-rotation T-cost model.
 
     The number of T states consumed to synthesize one arbitrary rotation

@@ -27,8 +27,8 @@ from .errors import (
     EstimationStageError,
     EstimatorError,
     InvalidPartitionError,
+    JsonRecord,
     read_number,
-    read_record,
 )
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .qec import PhysicalQubitParams, QecScheme
@@ -52,11 +52,6 @@ __all__ = [
 
 _PARTITION_TOLERANCE = 1e-12
 
-_BUDGET_FIELDS = frozenset({"total", "logical", "tStates", "rotations"})
-_BUDGET_REQUIRED = frozenset({"total"})
-_POST_LAYOUT_FIELDS = frozenset({"logicalQubitsPostLayout", "algorithmicDepth", "totalTStates"})
-_POST_LAYOUT_REQUIRED = frozenset({"logicalQubitsPostLayout", "algorithmicDepth"})
-
 ASSUMPTIONS = (
     "Logical error rate per cycle follows the crossing model "
     "crossingPrefactor * (physicalErrorRate / threshold) ^ ((codeDistance + 1) / 2).",
@@ -77,7 +72,7 @@ ASSUMPTIONS = (
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(JsonRecord):
     """Total failure-rate budget, optionally with explicit shares.
 
     Either all three shares (logical, T states, rotations) are given and
@@ -109,18 +104,13 @@ class ErrorBudget:
     def from_value(cls, value: Union[float, "ErrorBudget", dict]) -> "ErrorBudget":
         if isinstance(value, ErrorBudget):
             return value
-        if not isinstance(value, dict):
-            return cls(total=read_number(value, "errorBudget"))
-        read_record(value, "errorBudget", _BUDGET_FIELDS, _BUDGET_REQUIRED)
-        parts = (
-            None if value.get(key) is None else read_number(value[key], f"errorBudget {key}")
-            for key in ("logical", "tStates", "rotations")
-        )
-        return cls(read_number(value["total"], "errorBudget total"), *parts)
+        if isinstance(value, dict):
+            return cls.from_mapping(value, "errorBudget")
+        return cls(total=read_number(value, "errorBudget"))
 
 
 @dataclass(frozen=True)
-class PostLayoutInput:
+class PostLayoutInput(JsonRecord):
     """Directly supplied post-layout aggregates.
 
     Bypasses counting and layout so published aggregate figures can be
@@ -133,18 +123,9 @@ class PostLayoutInput:
     total_t_states: int = 0
 
     def __post_init__(self):
-        if self.logical_qubits_post_layout < 1:
-            raise ConfigError("postLayout logicalQubitsPostLayout must be >= 1")
-        if self.algorithmic_depth < 1:
-            raise ConfigError("postLayout algorithmicDepth must be >= 1")
-        if self.total_t_states < 0:
-            raise ConfigError("postLayout totalTStates must be >= 0")
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "PostLayoutInput":
-        read_record(data, "postLayout", _POST_LAYOUT_FIELDS, _POST_LAYOUT_REQUIRED)
-        keys = ("logicalQubitsPostLayout", "algorithmicDepth", "totalTStates")
-        return cls(*(read_number(data.get(key, 0), key, whole=True) for key in keys))
+        for (attr, key), least in zip(self._json_fields(), (1, 1, 0)):
+            if getattr(self, attr) < least:
+                raise ConfigError(f"postLayout {key} must be >= {least}")
 
 
 def partition_budget(

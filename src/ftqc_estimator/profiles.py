@@ -11,12 +11,12 @@ points the loader at a different directory.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
-from .errors import ConfigError, JsonRecord, _shown, read_file, read_record, read_string
+from .errors import ConfigError, JsonRecord, _shown, read_file
 from .qec import PhysicalQubitParams
 
 __all__ = [
@@ -38,28 +38,15 @@ BUILTIN_PROFILE_NAMES = (
     "qubit_maj_ns_e6",
 )
 
-_PROFILE_REQUIRED = frozenset({"name", "qubitParams", "defaultQecScheme"})
-_PROFILE_FIELDS = _PROFILE_REQUIRED | {"description"}
-
 
 @dataclass(frozen=True)
 class HardwareProfile(JsonRecord):
     name: str
-    description: str
+    description: str = field(default="", kw_only=True)
     qubit_params: PhysicalQubitParams
     default_scheme_name: str
 
     _RENAMED = {"default_scheme_name": "defaultQecScheme"}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "HardwareProfile":
-        read_record(data, "hardware profile", _PROFILE_FIELDS, _PROFILE_REQUIRED)
-        return cls(
-            name=read_string(data["name"], "profile name"),
-            description=read_string(data.get("description", ""), "profile description"),
-            qubit_params=PhysicalQubitParams.from_mapping(data["qubitParams"]),
-            default_scheme_name=read_string(data["defaultQecScheme"], "defaultQecScheme"),
-        )
 
 
 def _override_dir() -> Optional[Path]:
@@ -68,7 +55,7 @@ def _override_dir() -> Optional[Path]:
 
 
 def _load_file(path) -> HardwareProfile:
-    return HardwareProfile.from_mapping(read_file(path, "profile"))
+    return HardwareProfile.from_mapping(read_file(path, "profile"), "hardware profile")
 
 
 def load_profile(name: str) -> HardwareProfile:

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Optional
 
 from . import formulas
 from .errors import (
@@ -27,10 +27,6 @@ from .errors import (
     InvalidPartitionError,
     JsonRecord,
     _shown,
-    read_choice,
-    read_number,
-    read_record,
-    read_string,
 )
 from .formulas import FormulaExpr
 
@@ -121,23 +117,10 @@ class PhysicalQubitParams(JsonRecord):
                 env[key] = float(value)
         return env
 
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "PhysicalQubitParams":
-        read_record(data, "qubitParams", _QUBIT_FIELDS, _QUBIT_REQUIRED)
-        instruction_set = read_choice(data["instructionSet"], "instructionSet", InstructionSet)
-        kwargs: dict = {"instruction_set": instruction_set}
-        for keys in (_TIME_KEYS, _RATE_KEYS):
-            for attr, key in keys.items():
-                if data.get(key) is not None:
-                    kwargs[attr] = read_number(data[key], key)
-        return cls(**kwargs)
-
 
 # job keys of the operation times (ns) and of the error rates, by attribute
 _TIME_KEYS = {a: k for a, k in PhysicalQubitParams._json_fields() if a.endswith("_time")}
 _RATE_KEYS = {a: k for a, k in PhysicalQubitParams._json_fields() if a.endswith("_rate")}
-_QUBIT_FIELDS = frozenset(k for _, k in PhysicalQubitParams._json_fields())
-_QUBIT_REQUIRED = frozenset({"instructionSet"})
 
 
 def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
@@ -151,18 +134,6 @@ def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
     if params.instruction_set is InstructionSet.MAJORANA and params.idle_error_rate is not None:
         rate = max(rate, params.idle_error_rate)
     return rate
-
-
-_SCHEME_REQUIRED = frozenset(
-    {
-        "name",
-        "crossingPrefactor",
-        "errorCorrectionThreshold",
-        "logicalCycleTime",
-        "physicalQubitsPerLogicalQubit",
-    }
-)
-_SCHEME_FIELDS = _SCHEME_REQUIRED | {"maxCodeDistance"}
 
 
 @dataclass(frozen=True)
@@ -216,24 +187,6 @@ class QecScheme(JsonRecord):
                 physical_qubits_per_logical_qubit
             ),
             max_code_distance=max_code_distance,
-        )
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "QecScheme":
-        read_record(data, "qecScheme", _SCHEME_FIELDS, _SCHEME_REQUIRED)
-        return cls.from_strings(
-            name=read_string(data["name"], "qecScheme name"),
-            crossing_prefactor=read_number(data["crossingPrefactor"], "crossingPrefactor"),
-            error_correction_threshold=read_number(
-                data["errorCorrectionThreshold"], "errorCorrectionThreshold"
-            ),
-            logical_cycle_time=read_string(data["logicalCycleTime"], "logicalCycleTime"),
-            physical_qubits_per_logical_qubit=read_string(
-                data["physicalQubitsPerLogicalQubit"], "physicalQubitsPerLogicalQubit"
-            ),
-            max_code_distance=read_number(
-                data.get("maxCodeDistance", 51), "maxCodeDistance", whole=True
-            ),
         )
 
 
@@ -340,7 +293,7 @@ def evaluate_scheme_formulas(
     footprint = formulas.evaluate(scheme.physical_qubits_per_logical_qubit, env)
     if not (0.0 < cycle_time < math.inf and 0.0 < footprint < math.inf):
         raise ConfigError(
-            f"scheme {scheme.name!r} formulas must be positive and finite at distance "
+            f"scheme {_shown(repr(scheme.name))} formulas must be positive and finite at distance "
             f"{code_distance}: cycle {cycle_time!r}, footprint {footprint!r}"
         )
     return cycle_time, math.ceil(footprint)

@@ -85,6 +85,6 @@ class EstimateReport(JsonRecord):
     physical_qubit_parameters: PhysicalQubitParams
     assumptions: tuple[str, ...]
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
         """Serialize deterministically: same report, same bytes."""
-        return json.dumps(self.as_mapping(), indent=indent, allow_nan=False)
+        return json.dumps(self.as_mapping(), indent=2, allow_nan=False)

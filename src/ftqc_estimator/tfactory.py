@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import formulas
 from .errors import (
@@ -36,10 +36,7 @@ from .errors import (
     JsonRecord,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
-    read_choice,
-    read_number,
-    read_record,
-    read_string,
+    _shown,
 )
 from .formulas import FormulaExpr
 from .qec import PhysicalQubitParams, QecScheme, evaluate_scheme_formulas
@@ -61,17 +58,6 @@ __all__ = [
 #: Cap on the unit list.  It bounds the search, whose work grows with the
 #: number of branches per round raised to the number of rounds.
 MAX_UNITS = 8
-
-# in the order of the formula parameters of DistillationUnit.from_strings
-_FORMULA_FIELDS = (
-    "failureProbabilityFormula",
-    "outputErrorRateFormula",
-    "physicalQubitsFormula",
-    "durationFormula",
-)
-_UNIT_REQUIRED = frozenset({"name", "numInputTs", "numOutputTs", *_FORMULA_FIELDS})
-_UNIT_FIELDS = _UNIT_REQUIRED | {"applicability"}
-_CONSTRAINT_FIELDS = frozenset({"maxTFactoryCopies", "maxLogicalCycleSlowdown"})
 
 
 class Applicability(str, Enum):
@@ -99,15 +85,17 @@ class DistillationUnit(JsonRecord):
     duration: FormulaExpr
     applicability: Applicability = Applicability.BOTH
 
-    _RENAMED = dict(zip(
-        ("failure_probability", "output_error_rate", "physical_qubits", "duration"),
-        _FORMULA_FIELDS,
-    ))
+    _RENAMED = {
+        "failure_probability": "failureProbabilityFormula",
+        "output_error_rate": "outputErrorRateFormula",
+        "physical_qubits": "physicalQubitsFormula",
+        "duration": "durationFormula",
+    }
 
     def __post_init__(self):
         if self.num_output_ts < 1 or self.num_input_ts <= self.num_output_ts:
             raise ConfigError(
-                f"distillation unit {self.name!r} must concentrate fidelity: "
+                f"distillation unit {_shown(repr(self.name))} must concentrate fidelity: "
                 f"need 0 < outputs < inputs, got {self.num_input_ts} -> "
                 f"{self.num_output_ts}"
             )
@@ -133,18 +121,6 @@ class DistillationUnit(JsonRecord):
             physical_qubits=formulas.parse_formula(physical_qubits),
             duration=formulas.parse_formula(duration),
             applicability=applicability,
-        )
-
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "DistillationUnit":
-        read_record(data, "distillation unit", _UNIT_FIELDS, _UNIT_REQUIRED)
-        applicability = data.get("applicability", "both")
-        return cls.from_strings(
-            read_string(data["name"], "distillation unit name"),
-            read_number(data["numInputTs"], "numInputTs", whole=True),
-            read_number(data["numOutputTs"], "numOutputTs", whole=True),
-            *(read_string(data[key], key) for key in _FORMULA_FIELDS),
-            applicability=read_choice(applicability, "applicability", Applicability),
         )
 
     def allowed_distances(self, max_code_distance: int) -> tuple[int, ...]:
@@ -220,7 +196,7 @@ EMPTY_PLAN = TFactoryPlan(
 
 
 @dataclass(frozen=True)
-class TFactoryConstraints:
+class TFactoryConstraints(JsonRecord):
     """User limits on the factory fleet.
 
     When ``max_t_factory_copies`` is hit, the program may be slowed down
@@ -232,21 +208,11 @@ class TFactoryConstraints:
     max_logical_cycle_slowdown: Optional[float] = None
 
     def __post_init__(self):
-        copies, slowdown = self.max_t_factory_copies, self.max_logical_cycle_slowdown
-        if copies is not None and copies < 1:
-            raise ConfigError(f"maxTFactoryCopies must be >= 1, got {copies!r}")
-        if slowdown is not None and not slowdown >= 1.0:  # NaN fails too
-            raise ConfigError(f"maxLogicalCycleSlowdown must be >= 1, got {slowdown!r}")
+        for attr, key in self._json_fields():
+            value = getattr(self, attr)
+            if value is not None and not value >= 1:  # NaN fails too
+                raise ConfigError(f"{key} must be >= 1, got {value!r}")
 
-    @classmethod
-    def from_mapping(cls, data: Mapping) -> "TFactoryConstraints":
-        read_record(data, "tFactoryConstraints", _CONSTRAINT_FIELDS)
-        copies = data.get("maxTFactoryCopies")
-        slowdown = data.get("maxLogicalCycleSlowdown")
-        return cls(
-            None if copies is None else read_number(copies, "maxTFactoryCopies", whole=True),
-            None if slowdown is None else read_number(slowdown, "maxLogicalCycleSlowdown"),
-        )
 
 
 def required_t_state_error(error_budget_t_states: float, total_t_states: int) -> float:

@@ -2,11 +2,12 @@
 
 Each node of a set of jobs that holds every kind of record, and each
 node of some trace records, is replaced, in turn, by each of a fixed set
-of bad values, and the job is run through ``cli.main``; so are jobs whose
-scheme and unit formulas are random trees over the formula grammar.
-Whatever the value, the run must exit 0 (the value happens to be valid),
-2 (configuration error) or 3 (infeasible), never 1 (internal error), and
-stdout and stderr must each be empty or strict JSON.
+of bad values, a long string among them, and the job is run through
+``cli.main``; so are jobs whose scheme and unit formulas are random trees
+over the formula grammar.  Whatever the value, the run must exit 0 (the
+value happens to be valid), 2 (configuration error) or 3 (infeasible),
+never 1 (internal error); stdout and stderr must each be empty or strict
+JSON, and neither may echo 200 characters of the long string.
 """
 
 import contextlib
@@ -25,7 +26,9 @@ from ftqc_estimator.formulas import DISTILLATION_VARIABLES, FUNCTIONS, QEC_SCHEM
 
 GOLDEN = Path(__file__).parent / "golden"
 
-BAD_VALUES = (math.nan, math.inf, -1, 0, 0.5, 5e-324, "abc", True, None, [], {}, 1e308)
+# a long string, of which no output stream may echo 200 characters in a row
+LONG = "x" * 100_000
+BAD_VALUES = (math.nan, math.inf, -1, 0, 0.5, 5e-324, "abc", True, None, [], {}, 1e308, LONG)
 
 # Inline qubit parameters and rotation-synthesis constants appear in no
 # golden job, so this job carries them.
@@ -122,6 +125,8 @@ def run_problems(argv, where):
         problem = strict_json_problem(text)
         if problem:
             problems.append(f"{where}: {stream}: {problem}")
+        if LONG[:200] in text:
+            problems.append(f"{where}: {stream}: echoes 200 characters of the long string")
     return problems
 
 
@@ -134,7 +139,7 @@ def test_every_bad_value_fails_cleanly(case, tmp_path):
     for path in node_paths(document):
         for value in BAD_VALUES:
             job.write_text(json.dumps(replaced(document, path, value)))
-            where = f"{'.'.join(map(str, path))} = {json.dumps(value)}"
+            where = f"{'.'.join(map(str, path))} = {json.dumps(value)[:20]}"
             problems += run_problems([*before, "--job", str(job), *after], where)
     assert not problems, "\n".join(problems)
 
@@ -152,7 +157,7 @@ def test_every_bad_trace_value_fails_cleanly(line, tmp_path):
         for value in BAD_VALUES:
             bad = replaced(record, path, value) if path else value
             trace.write_text("\n".join([*lines[:line], json.dumps(bad), *lines[line + 1 :]]) + "\n")
-            where = f"line {line + 1} {'.'.join(map(str, path)) or 'record'} = {json.dumps(value)}"
+            where = f"line {line + 1} {'.'.join(map(str, path)) or 'record'} = {json.dumps(value)[:20]}"
             problems += run_problems(["estimate", "--job", str(tmp_path / "job.json")], where)
     assert not problems, "\n".join(problems)
 

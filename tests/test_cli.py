@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from ftqc_estimator import cli, jobs
-from ftqc_estimator.errors import EstimationStageError
+from ftqc_estimator.counts import TraceEvent, count_trace
+from ftqc_estimator.errors import EstimationStageError, TraceFormatError
 from ftqc_estimator.layout import layout_qubits
-from test_bad_inputs import reject_constant
+from test_bad_inputs import reject_constant, replaced
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -253,21 +254,72 @@ class TestNumericValidation:
         assert run(capsys, "estimate", "--job", str(as_float)) == (0, expected, "")
 
     @pytest.mark.parametrize(
-        "fields, kind, fragment",
+        "fields, trace, kind, fragment",
         [
-            ({"errorBudget": "x" * 10**6}, "ConfigError", "errorBudget must be a finite number"),
-            ({"qubitParams": "x" * 10**6}, "ConfigError", "unknown hardware profile"),
-            ({"qecScheme": "x" * 10**6}, "ConfigError", "unknown QEC scheme"),
-            ({"input": {"tracePath": "x" * 10**6}}, "ConfigError", "cannot read trace file"),
+            ({"errorBudget": "x" * 10**6}, None, "ConfigError", "errorBudget must be a finite number"),
+            ({"qubitParams": "x" * 10**6}, None, "ConfigError", "unknown hardware profile"),
+            ({"qecScheme": "x" * 10**6}, None, "ConfigError", "unknown QEC scheme"),
+            ({"input": {"tracePath": "x" * 10**6}}, None, "ConfigError", "cannot read trace file"),
             (
                 {"input": {"logicalCounts": {"numQubits": 4, "tCount": "x" * 10**6}}},
+                None,
                 "InvalidCountsError",
                 "'tCount': must be an integer",
             ),
+            (
+                {"input": {"logicalCounts": {"numQubits": 4, "x" * 10**6: 1}}},
+                None,
+                "InvalidCountsError",
+                "unknown counts field",
+            ),
+            (
+                {"input": {"tracePath": "trace.jsonl"}},
+                json.dumps({"op": "x" * 10**6, "q": [0]}),
+                "TraceFormatError",
+                "unknown trace op",
+            ),
+            (
+                {"distillationUnits": [dict(UNIT_15_TO_1, durationFormula="x" * 10**6 + "(1)")]},
+                None,
+                "UnknownFunctionError",
+                "unknown function",
+            ),
+            (
+                {"distillationUnits": [dict(UNIT_15_TO_1, durationFormula="x" * 10**6)]},
+                None,
+                "UnboundVariableError",
+                "is not bound",
+            ),
+            (
+                {"distillationUnits": [dict(UNIT_15_TO_1, name="x" * 10**6, numOutputTs=15)]},
+                None,
+                "ConfigError",
+                "must concentrate fidelity",
+            ),
+            (
+                {"qecScheme": dict(SURFACE_SCHEME, name="x" * 10**6, logicalCycleTime="0")},
+                None,
+                "ConfigError",
+                "formulas must be positive",
+            ),
         ],
-        ids=["errorBudget", "qubitParams", "qecScheme", "tracePath", "tCount"],
+        ids=[
+            "errorBudget",
+            "qubitParams",
+            "qecScheme",
+            "tracePath",
+            "tCount",
+            "countsKey",
+            "traceOp",
+            "unknownFunction",
+            "unboundVariable",
+            "unitName",
+            "schemeName",
+        ],
     )
-    def test_huge_value_is_echoed_short(self, tmp_path, capsys, fields, kind, fragment):
+    def test_huge_value_is_echoed_short(self, tmp_path, capsys, fields, trace, kind, fragment):
+        if trace is not None:
+            (tmp_path / "trace.jsonl").write_text(trace + "\n")
         job = write_job(tmp_path, **fields)
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert (code, out) == (2, "")
@@ -275,6 +327,12 @@ class TestNumericValidation:
         assert error["type"] == kind
         assert fragment in error["message"]
         assert len(err) < 1000
+
+    def test_huge_op_reaching_the_counter_is_echoed_short(self):
+        # parsed traces hold known ops only, so this takes a built event
+        with pytest.raises(TraceFormatError, match="unknown trace op") as caught:
+            count_trace([TraceEvent("x" * 10**6, (0,))])
+        assert len(str(caught.value)) < 1000
 
     def test_huge_profile_name_in_profile_dir_is_echoed_short(
         self, tmp_path, capsys, monkeypatch
@@ -545,6 +603,79 @@ class TestMalformedRecords:
         job.write_text('{"input": %s}' % self.DEEP)
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, "job.json is not valid JSON")
+
+
+def without(document, path):
+    """A copy of ``document`` without the key at ``path``."""
+    copy = replaced(document, path, None)
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return copy
+
+
+def path_id(value):
+    """A test id naming the key path, not the job fields."""
+    return ".".join(map(str, value)) if isinstance(value, tuple) else "job"
+
+
+ROTATION_COUNTS = {
+    "logicalCounts": {"numQubits": 4, "tCount": 1000, "rotationCount": 30, "rotationDepth": 10}
+}
+
+
+class TestNullKeys:
+    """``null`` on a key that may be absent means absent; on a required key
+    it is a ConfigError naming the key."""
+
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"input": {"postLayout": POST_LAYOUT}}, ("input", "postLayout", "totalTStates")),
+            ({"qecScheme": dict(SURFACE_SCHEME, maxCodeDistance=3)}, ("qecScheme", "maxCodeDistance")),
+            (
+                {"distillationUnits": [dict(UNIT_15_TO_1, applicability="logicalOnly")]},
+                ("distillationUnits", 0, "applicability"),
+            ),
+            (
+                {"input": ROTATION_COUNTS, "rotationSynthesis": {"a": 1.0, "b": 5.3}},
+                ("rotationSynthesis", "a"),
+            ),
+            ({"tFactoryConstraints": {"maxTFactoryCopies": 1}}, ("tFactoryConstraints", "maxTFactoryCopies")),
+            (
+                {"qubitParams": dict(MAJORANA_PARAMS, readoutErrorRate=1e-3), "qecScheme": "floquet_code"},
+                ("qubitParams", "readoutErrorRate"),
+            ),
+        ],
+        ids=path_id,
+    )
+    def test_null_on_an_optional_key_is_absent(self, tmp_path, capsys, fields, path):
+        absent = write_job(tmp_path, "absent.json", **without(fields, path))
+        null = write_job(tmp_path, "null.json", **replaced(fields, path, None))
+        given = write_job(tmp_path, "given.json", **fields)
+        code, expected, err = run(capsys, "estimate", "--job", str(absent))
+        assert code == 0, err
+        assert run(capsys, "estimate", "--job", str(null)) == (0, expected, "")
+        # the given value changes the outcome, so the key is read at all
+        assert run(capsys, "estimate", "--job", str(given))[:2] != (0, expected)
+
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"input": {"postLayout": POST_LAYOUT}}, ("input", "postLayout", "algorithmicDepth")),
+            ({"qecScheme": SURFACE_SCHEME}, ("qecScheme", "crossingPrefactor")),
+            ({"qecScheme": SURFACE_SCHEME}, ("qecScheme", "logicalCycleTime")),
+            ({"distillationUnits": [UNIT_15_TO_1]}, ("distillationUnits", 0, "numInputTs")),
+            ({"qubitParams": MAJORANA_PARAMS, "qecScheme": "floquet_code"}, ("qubitParams", "instructionSet")),
+            ({"errorBudget": {"total": 1e-3}}, ("errorBudget", "total")),
+        ],
+        ids=path_id,
+    )
+    def test_null_on_a_required_key_exits_2(self, tmp_path, capsys, fields, path):
+        job = write_job(tmp_path, **replaced(fields, path, None))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, path[-1])
 
 
 class TestSweepCommand:

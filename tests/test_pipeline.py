@@ -13,6 +13,7 @@ from ftqc_estimator.errors import (
     InvalidPartitionError,
     NoFeasiblePipelineError,
 )
+from ftqc_estimator.layout import DEFAULT_SYNTHESIS
 from ftqc_estimator.pipeline import (
     ErrorBudget,
     PostLayoutInput,
@@ -20,12 +21,32 @@ from ftqc_estimator.pipeline import (
     frontier,
     partition_budget,
 )
+from ftqc_estimator.profiles import BUILTIN_PROFILE_NAMES, load_profile
 from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE
-from ftqc_estimator.tfactory import TFactoryConstraints
+from ftqc_estimator.tfactory import DEFAULT_15_TO_1, TFactoryConstraints
 from test_qec import gate_params, majorana_params
 
 ANCHOR_QUBITS = 20597
 ANCHOR_DEPTH = int(5.44e6)
+
+
+RECORDS = [
+    SURFACE_CODE,
+    FLOQUET_CODE,
+    DEFAULT_15_TO_1,
+    *(load_profile(name) for name in BUILTIN_PROFILE_NAMES),
+    *(load_profile(name).qubit_params for name in BUILTIN_PROFILE_NAMES),
+    DEFAULT_SYNTHESIS,
+    ErrorBudget(1e-3, logical=5e-4, t_states=3e-4, rotations=2e-4),
+    PostLayoutInput(100, 2000, 50000),
+    TFactoryConstraints(max_t_factory_copies=4, max_logical_cycle_slowdown=2.5),
+    TFactoryConstraints(),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_record_round_trips_through_its_mapping(record):
+    assert type(record).from_mapping(record.as_mapping()) == record
 
 
 def anchor_report(**overrides):

@@ -69,10 +69,6 @@ class TestPhysicalQubitParams:
         with pytest.raises(ConfigError):
             gate_params(readout_error_rate=-0.1)
 
-    def test_mapping_round_trip(self):
-        params = majorana_params(idle_error_rate=2e-5)
-        assert PhysicalQubitParams.from_mapping(params.as_mapping()) == params
-
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             PhysicalQubitParams.from_mapping(

@@ -64,10 +64,6 @@ class TestUnitDefinition:
         with pytest.raises(ConfigError):
             DistillationUnit.from_strings("bad", 5, 5, "0", "inputErrorRate", "1", "1")
 
-    def test_mapping_round_trip(self):
-        data = DEFAULT_15_TO_1.as_mapping()
-        assert DistillationUnit.from_mapping(data).as_mapping() == data
-
     def test_allowed_distances(self):
         both = DEFAULT_15_TO_1.allowed_distances(7)
         assert both == (1, 3, 5, 7)
