@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -25,7 +26,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import jobs, profiles
-from .errors import INFEASIBLE_ERRORS, ConfigError, EstimatorError, read_file, read_number
+from .errors import (
+    INFEASIBLE_ERRORS,
+    ConfigError,
+    EstimatorError,
+    _shown,
+    read_file,
+    read_number,
+)
 from .report import EstimateReport
 
 __all__ = ["main", "cmd_estimate", "cmd_sweep", "cmd_frontier", "cmd_profiles"]
@@ -194,14 +202,18 @@ def cmd_profiles(fmt: str = "table", out_path: Optional[str] = None) -> int:
 
 
 def _parse_values(text: str) -> list[float]:
+    shown = _shown(repr(text))
     try:
         values = [float(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-    return [read_number(value, f"each value in {text!r}") for value in values]
+        raise ConfigError(f"bad numeric list {shown}") from exc
+    return [read_number(value, f"each value in {shown}") for value in values]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: parsing leaves
+    it unchanged, and building costs far more than parsing."""
     parser = argparse.ArgumentParser(
         prog="ftqc-estimator",
         description="Physical resource estimation for fault-tolerant quantum algorithms.",

@@ -19,7 +19,13 @@ bind tighter than ``+`` and ``-``.  Identifiers match
 scientific notation.  The only recognized functions are ``ceil``,
 ``floor``, ``log2``, and ``sqrt``.
 
-Trees are immutable after parsing and can be shared freely across threads.
+Trees are immutable after parsing.  :func:`evaluate` compiles a tree on
+its first evaluation into nested closures, one per node, and keeps them on
+the tree's nodes; later evaluations only call them.  The tree itself stays
+for :func:`to_source` and :func:`variables`, and the kept closures take no
+part in ``==``, ``hash``, ``repr`` or pickling.  Trees can be shared across
+threads: two threads that evaluate a tree for the first time at once may
+both compile it, a benign race in which each gets an equivalent closure.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from math import isfinite, log2, sqrt
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -79,47 +86,44 @@ DISTILLATION_VARIABLES = QEC_SCHEME_VARIABLES | frozenset(
 )
 
 
+class _Node:
+    """Base of the tree nodes.  ``str`` gives a node's source text.  A
+    node evaluated once keeps its compiled closure (see :func:`evaluate`)
+    as an attribute outside its fields; pickling leaves it out."""
+
+    def __str__(self) -> str:
+        return to_source(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_run"}
+
+
 @dataclass(frozen=True)
-class Number:
+class Number(_Node):
     value: float
 
-    def __str__(self) -> str:
-        return to_source(self)
-
 
 @dataclass(frozen=True)
-class Variable:
+class Variable(_Node):
     name: str
 
-    def __str__(self) -> str:
-        return to_source(self)
-
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "FormulaExpr"
 
-    def __str__(self) -> str:
-        return to_source(self)
-
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "FormulaExpr"
 
-    def __str__(self) -> str:
-        return to_source(self)
-
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of "+", "-", "*", "/", "^"
     left: "FormulaExpr"
     right: "FormulaExpr"
-
-    def __str__(self) -> str:
-        return to_source(self)
 
 
 FormulaExpr = Union[Number, Variable, Call, Neg, BinOp]
@@ -347,7 +351,9 @@ def variables(expr: FormulaExpr) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each node compiles to a closure over its children's closures
+
+_Run = Callable[[Mapping[str, float]], float]
 
 
 def _power(base: float, exponent: float) -> float:
@@ -363,54 +369,122 @@ def _power(base: float, exponent: float) -> float:
         raise FormulaDomainError(f"{base:g} ^ {exponent:g} overflows") from exc
 
 
+def _variable(name) -> _Run:
+    def run(env):
+        try:
+            value = float(env[name])
+        except KeyError:
+            raise UnboundVariableError(name) from None
+        if not isfinite(value):
+            raise ValueError(f"variable {name!r} is bound to non-finite {value!r}")
+        return value
+
+    return run
+
+
+def _call(func: str, arg) -> _Run:
+    if func in ("ceil", "floor"):
+        round_ = math.ceil if func == "ceil" else math.floor
+
+        def run(env):
+            x = arg(env)
+            if not isfinite(x):
+                raise FormulaDomainError(f"{func} of non-finite value {x!r}")
+            return float(round_(x))
+
+    elif func == "log2":
+
+        def run(env):
+            x = arg(env)
+            if x <= 0.0:
+                raise FormulaDomainError(f"log2 of non-positive value {x:g}")
+            return log2(x)
+
+    elif func == "sqrt":
+
+        def run(env):
+            x = arg(env)
+            if x < 0.0:
+                raise FormulaDomainError(f"sqrt of negative value {x:g}")
+            return sqrt(x)
+
+    else:
+
+        def run(env):
+            arg(env)
+            raise UnknownFunctionError(func)
+
+    return run
+
+
+def _binop(expr: BinOp, left, right) -> _Run:
+    op = expr.op
+    if op == "+":
+        return lambda env: left(env) + right(env)
+    if op == "-":
+        return lambda env: left(env) - right(env)
+    if op == "*":
+        return lambda env: left(env) * right(env)
+    if op == "/":
+
+        def run(env):
+            x = left(env)
+            y = right(env)
+            if y == 0.0:
+                raise DivisionByZeroError(f"{x:g} / 0")
+            return x / y
+
+        return run
+    if op == "^":
+        return lambda env: _power(left(env), right(env))
+
+    def run(env):
+        left(env)
+        right(env)
+        raise TypeError(f"not a formula node: {expr!r}")
+
+    return run
+
+
+def _compiled(expr: FormulaExpr) -> _Run:
+    """The closure that evaluates ``expr``, built on first use and kept on
+    the node (outside its fields, so out of ``==``, ``hash`` and ``repr``)."""
+    run = getattr(expr, "_run", None)
+    if run is not None:
+        return run
+    if isinstance(expr, Number):
+        value = expr.value
+        run = lambda env: value
+    elif isinstance(expr, Variable):
+        run = _variable(expr.name)
+    elif isinstance(expr, Neg):
+        operand = _compiled(expr.operand)
+        run = lambda env: -operand(env)
+    elif isinstance(expr, Call):
+        run = _call(expr.func, _compiled(expr.arg))
+    elif isinstance(expr, BinOp):
+        run = _binop(expr, _compiled(expr.left), _compiled(expr.right))
+    else:
+
+        def run(env):
+            raise TypeError(f"not a formula node: {expr!r}")
+
+        return run
+    object.__setattr__(expr, "_run", run)
+    return run
+
+
 def evaluate(expr: FormulaExpr, env: Mapping[str, float]) -> float:
     """Evaluate a tree against named-variable bindings.
 
     All bound values must be finite.  Evaluation is deterministic: the same
-    tree and environment always produce the bit-identical result.
+    tree and environment always produce the bit-identical result.  Each
+    node runs the same float operations and domain checks in the same
+    order as a walk over the tree, left operand before right, so results
+    and errors do not depend on whether the tree was compiled before.
     """
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, Variable):
-        try:
-            value = float(env[expr.name])
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-        if not math.isfinite(value):
-            raise ValueError(f"variable {expr.name!r} is bound to non-finite {value!r}")
-        return value
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
-    if isinstance(expr, Call):
-        arg = evaluate(expr.arg, env)
-        if expr.func in ("ceil", "floor") and not math.isfinite(arg):
-            raise FormulaDomainError(f"{expr.func} of non-finite value {arg!r}")
-        if expr.func == "ceil":
-            return float(math.ceil(arg))
-        if expr.func == "floor":
-            return float(math.floor(arg))
-        if expr.func == "log2":
-            if arg <= 0.0:
-                raise FormulaDomainError(f"log2 of non-positive value {arg:g}")
-            return math.log2(arg)
-        if expr.func == "sqrt":
-            if arg < 0.0:
-                raise FormulaDomainError(f"sqrt of negative value {arg:g}")
-            return math.sqrt(arg)
-        raise UnknownFunctionError(expr.func)
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0.0:
-                raise DivisionByZeroError(f"{left:g} / 0")
-            return left / right
-        if expr.op == "^":
-            return _power(left, right)
-    raise TypeError(f"not a formula node: {expr!r}")
+    try:
+        run = expr._run
+    except AttributeError:
+        run = _compiled(expr)
+    return run(env)

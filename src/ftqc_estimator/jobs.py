@@ -89,7 +89,10 @@ def _parse_scheme(value, profile_default: Optional[str]) -> QecScheme:
 
 
 def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
-    """Validate a decoded job document; relative paths resolve against ``base_dir``."""
+    """Validate a decoded job document; relative paths resolve against ``base_dir``.
+
+    ``null`` on an optional key means the key is absent, as in every record.
+    """
     read_record(data, "job", _JOB_FIELDS, _JOB_REQUIRED)
     trace_path, logical_counts, post_layout = _parse_input(data["input"], Path(base_dir))
     qubit_params, profile_scheme = _parse_qubit_params(data["qubitParams"])
@@ -97,20 +100,20 @@ def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
     budget = ErrorBudget.from_value(data["errorBudget"])
 
     units = None
-    if "distillationUnits" in data:
+    if data.get("distillationUnits") is not None:
         raw_units = data["distillationUnits"]
         if not isinstance(raw_units, list) or not raw_units:
             raise ConfigError("distillationUnits must be a non-empty list")
         units = tuple(DistillationUnit.from_mapping(u, "distillation unit") for u in raw_units)
 
     constraints = None
-    if "tFactoryConstraints" in data:
+    if data.get("tFactoryConstraints") is not None:
         constraints = TFactoryConstraints.from_mapping(
             data["tFactoryConstraints"], "tFactoryConstraints"
         )
 
     synthesis = DEFAULT_SYNTHESIS
-    if "rotationSynthesis" in data:
+    if data.get("rotationSynthesis") is not None:
         synthesis = RotationSynthesisConstants.from_mapping(
             data["rotationSynthesis"], "rotationSynthesis"
         )

@@ -4,12 +4,14 @@ Profiles are data files, not code: each JSON file carries a
 :class:`PhysicalQubitParams` record plus a default QEC scheme name.  Six
 profiles ship with the package, spanning gate-based and measurement-based
 instruction sets, nanosecond and microsecond regimes, and realistic to
-optimistic error rates.  The ``FTQC_PROFILE_DIR`` environment variable
-points the loader at a different directory.
+optimistic error rates; each is decoded once per process.  The
+``FTQC_PROFILE_DIR`` environment variable points the loader at a
+different directory, whose files are read on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -68,6 +70,13 @@ def load_profile(name: str) -> HardwareProfile:
             f"unknown hardware profile {_shown(repr(name))}; built-ins: "
             + ", ".join(BUILTIN_PROFILE_NAMES)
         )
+    return _builtin(name)
+
+
+@functools.cache
+def _builtin(name: str) -> HardwareProfile:
+    """A built-in profile, decoded once per process: the package's files
+    do not change while it runs, and the record is immutable."""
     return _load_file(resources.files(__package__).joinpath(f"profiles/{name}.json"))
 
 

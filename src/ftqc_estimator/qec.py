@@ -287,8 +287,16 @@ def evaluate_scheme_formulas(
     physical-level stage with ``codeDistance = 1``; both values must come
     out positive.
     """
-    env = params.time_variables()
-    env["codeDistance"] = float(code_distance)
+    return _scheme_values(scheme, params.time_variables(), code_distance)
+
+
+def _scheme_values(
+    scheme: QecScheme, times: dict[str, float], code_distance: int
+) -> tuple[float, int]:
+    """:func:`evaluate_scheme_formulas` with the operation-time bindings
+    (``params.time_variables()``) already built, for callers that
+    evaluate many distances of one qubit."""
+    env = {**times, "codeDistance": float(code_distance)}
     cycle_time = formulas.evaluate(scheme.logical_cycle_time, env)
     footprint = formulas.evaluate(scheme.physical_qubits_per_logical_qubit, env)
     if not (0.0 < cycle_time < math.inf and 0.0 < footprint < math.inf):

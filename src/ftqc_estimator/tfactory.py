@@ -39,7 +39,7 @@ from .errors import (
     _shown,
 )
 from .formulas import FormulaExpr
-from .qec import PhysicalQubitParams, QecScheme, evaluate_scheme_formulas
+from .qec import PhysicalQubitParams, QecScheme, _scheme_values
 
 __all__ = [
     "Applicability",
@@ -289,14 +289,14 @@ def _search(
     compared in unit-list order, then by ascending distance for units
     that branch per distance.
     """
-    base = params.time_variables()
-    base["cliffordErrorRate"] = params.clifford_error_rate
+    times = params.time_variables()
+    base = {**times, "cliffordErrorRate": params.clifford_error_rate}
     table: dict[Optional[int], Optional[dict[str, float]]] = {None: base}
 
     def variables_at(distance: Optional[int]) -> Optional[dict[str, float]]:
         if distance not in table:
             try:
-                cycle_time, footprint = evaluate_scheme_formulas(scheme, params, distance)
+                cycle_time, footprint = _scheme_values(scheme, times, distance)
             except ConfigError:
                 # scheme formulas only promise positivity for distance >= 3;
                 # a physical-level round is then simply unavailable

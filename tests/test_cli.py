@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -647,6 +650,17 @@ class TestNullKeys:
                 {"qubitParams": dict(MAJORANA_PARAMS, readoutErrorRate=1e-3), "qecScheme": "floquet_code"},
                 ("qubitParams", "readoutErrorRate"),
             ),
+            # the job's own optional keys
+            ({"qecScheme": "floquet_code"}, ("qecScheme",)),
+            ({"tFactoryConstraints": {"maxTFactoryCopies": 1}}, ("tFactoryConstraints",)),
+            (
+                {"input": ROTATION_COUNTS, "rotationSynthesis": {"a": 1.0, "b": 5.3}},
+                ("rotationSynthesis",),
+            ),
+            (
+                {"distillationUnits": [dict(UNIT_15_TO_1, applicability="logicalOnly")]},
+                ("distillationUnits",),
+            ),
         ],
         ids=path_id,
     )
@@ -923,3 +937,63 @@ class TestUsage:
             capsys, "frontier", "--job", str(job), "--slowdown-grid", "fast"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--slowdown-grid", "--values"])
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [("x" * 100_000, "bad numeric list"), ("1," * 49_999 + "inf", "must be a finite number")],
+        ids=["not-numbers", "not-finite"],
+    )
+    def test_long_numeric_list_is_echoed_short(self, tmp_path, capsys, flag, text, fragment):
+        job = str(write_job(tmp_path))
+        if flag == "--values":
+            argv = ["sweep", "--job", job, "--param", "errorBudget", "--values", text]
+        else:
+            argv = ["frontier", "--job", job, "--slowdown-grid", text]
+        code, out, err = run(capsys, *argv)
+        assert_config_error(code, out, err, fragment)
+        assert len(err.encode()) < 1000
+
+
+class TestOneProcessManyCommands:
+    """The parser is built once per process and reused; every command still
+    answers as it would in a fresh process."""
+
+    def fresh(self, argv):
+        """Exit code, stdout and stderr of ``argv`` in a new process."""
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from ftqc_estimator.cli import main; sys.exit(main())",
+             *argv],
+            env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+            capture_output=True,
+            timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def here(self, capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error or --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out.encode(), captured.err.encode()
+
+    def test_commands_in_sequence_answer_as_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
+        job = str(write_job(tmp_path))
+        commands = [
+            ["estimate", "--job", job],
+            ["frontier", "--job", job, "--slowdown-grid", "1,2,4"],
+            ["profiles"],
+            ["estimate", "--format", "yaml"],  # an argparse error
+            ["--help"],
+            ["frontier", "--help"],
+        ]
+        cli._build_parser.cache_clear()
+        answers = [self.here(capsys, argv) for argv in commands]
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in answers] == [0, 0, 0, 2, 0, 0]
+        for argv, answer in zip(commands, answers):
+            assert answer == self.fresh(argv), argv

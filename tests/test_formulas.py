@@ -1,7 +1,9 @@
 """Formula engine: grammar, round-trips, evaluation, and error cases."""
 
 import math
+import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -314,3 +316,162 @@ def test_serialization_preserves_value(source):
     except DivisionByZeroError:
         return
     assert formulas.evaluate(parse(formulas.to_source(tree)), _ENV) == expected
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the tree walk it replaced
+
+
+def tree_walk_eval(expr, env):
+    """The engine's former evaluator, a recursive walk over the tree: the
+    reference the compiled closures must match bit for bit, errors included."""
+    if isinstance(expr, Number):
+        return expr.value
+    if isinstance(expr, Variable):
+        try:
+            value = float(env[expr.name])
+        except KeyError:
+            raise UnboundVariableError(expr.name) from None
+        if not math.isfinite(value):
+            raise ValueError(f"variable {expr.name!r} is bound to non-finite {value!r}")
+        return value
+    if isinstance(expr, Neg):
+        return -tree_walk_eval(expr.operand, env)
+    if isinstance(expr, Call):
+        arg = tree_walk_eval(expr.arg, env)
+        if expr.func in ("ceil", "floor") and not math.isfinite(arg):
+            raise FormulaDomainError(f"{expr.func} of non-finite value {arg!r}")
+        if expr.func == "ceil":
+            return float(math.ceil(arg))
+        if expr.func == "floor":
+            return float(math.floor(arg))
+        if expr.func == "log2":
+            if arg <= 0.0:
+                raise FormulaDomainError(f"log2 of non-positive value {arg:g}")
+            return math.log2(arg)
+        if expr.func == "sqrt":
+            if arg < 0.0:
+                raise FormulaDomainError(f"sqrt of negative value {arg:g}")
+            return math.sqrt(arg)
+        raise UnknownFunctionError(expr.func)
+    if isinstance(expr, BinOp):
+        left = tree_walk_eval(expr.left, env)
+        right = tree_walk_eval(expr.right, env)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if expr.op == "/":
+            if right == 0.0:
+                raise DivisionByZeroError(f"{left:g} / 0")
+            return left / right
+        if expr.op == "^":
+            if left < 0.0 and right != math.floor(right):
+                raise FormulaDomainError(
+                    f"negative base {left:g} with non-integer exponent {right:g}"
+                )
+            if left == 0.0 and right < 0.0:
+                raise DivisionByZeroError("zero raised to a negative power")
+            try:
+                return left**right
+            except OverflowError as exc:
+                raise FormulaDomainError(f"{left:g} ^ {right:g} overflows") from exc
+    raise TypeError(f"not a formula node: {expr!r}")
+
+
+def outcome(evaluate, expr, env):
+    """A result as (type, bits), NaN counted as one value, or a raised
+    error as (type, message)."""
+    try:
+        value = evaluate(expr, env)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(value, float):
+        return float, "nan" if math.isnan(value) else struct.pack("<d", value)
+    return type(value), value
+
+
+def assert_same_outcome(expr, env):
+    expected = outcome(tree_walk_eval, expr, env)
+    # twice: the first call compiles the tree, the second reuses its closure
+    assert outcome(formulas.evaluate, expr, env) == expected
+    assert outcome(formulas.evaluate, expr, env) == expected
+    return expected[0]
+
+
+# values that reach every domain check: zero divisors and bases, negative
+# bases under fractional exponents, overflow, and non-finite bindings
+_EDGE_VALUES = (
+    0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-308, 5e-324, 1e154, -1e200, 1e308,
+    float("inf"), float("nan"),
+)
+
+
+def random_env(rng: random.Random) -> dict:
+    """Some of the variables, each bound to an edge value or a random float."""
+    return {
+        name: rng.choice(_EDGE_VALUES) if rng.random() < 0.6 else rng.uniform(-20.0, 20.0)
+        for name in _VARERS
+        if rng.random() < 0.85
+    }
+
+
+def test_compiled_matches_tree_walk_on_random_trees_and_environments():
+    rng = random.Random(4242)
+    kinds = set()
+    for _ in range(2000):
+        tree = random_tree(rng, rng.randint(1, 6))
+        for env in (_ENV, random_env(rng), random_env(rng)):
+            kinds.add(assert_same_outcome(tree, env))
+    # the environments reach every error the engine raises, and non-finite results
+    assert {
+        float, UnboundVariableError, ValueError, DivisionByZeroError, FormulaDomainError,
+    } <= kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _sources,
+    st.dictionaries(
+        st.sampled_from(_VARERS),
+        st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+    ),
+)
+def test_compiled_matches_tree_walk_on_parsed_sources(source, env):
+    assert_same_outcome(parse(source), env)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        Call("cosh", Variable("alpha")),
+        Call("cosh", Variable("missing")),
+        BinOp("%", Number(1.0), Number(2.0)),
+        BinOp("%", Variable("missing"), Number(2.0)),
+        BinOp("+", Variable("missing"), "not a node"),
+        BinOp("+", Number(1.0), "not a node"),
+        Neg(None),
+        "not a node",
+        Number(2),  # hand-built: an int passes through unconverted
+        BinOp("/", Number(2), Number(0)),
+    ],
+    ids=repr,
+)
+def test_compiled_matches_tree_walk_on_hand_built_trees(tree):
+    assert_same_outcome(tree, _ENV)
+
+
+def test_an_evaluated_tree_equals_and_hashes_like_a_fresh_parse():
+    source = "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * ceil(sqrt(codeDistance))"
+    env = {"twoQubitGateTime": 50.0, "oneQubitMeasurementTime": 100.0, "codeDistance": 9.0}
+    tree = parse(source)
+    formulas.evaluate(tree, env)
+    fresh = parse(source)
+    assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
+    assert formulas.to_source(tree) == formulas.to_source(fresh)
+    assert formulas.variables(tree) == formulas.variables(fresh)
+    # pickling leaves the compiled closure behind; the copy evaluates alike
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and formulas.evaluate(copy, env) == formulas.evaluate(tree, env)
