@@ -8,13 +8,22 @@ over the formula grammar.  Whatever the value, the run must exit 0 (the
 value happens to be valid), 2 (configuration error) or 3 (infeasible),
 never 1 (internal error); stdout and stderr must each be empty or strict
 JSON, and neither may echo 200 characters of the long string.
+
+Each run of the job sweep also has a recorded outcome in
+``tests/golden/expected/bad_input_outcomes.json``: the exit code, the
+error's type and stage from stderr ("-" when there is none) and the
+sha256 of stdout, so a change to how jobs are decoded shows up as a
+changed outcome.  To re-record after an intended change, run
+``PYTHONPATH=src python tests/test_bad_inputs.py`` and review the diff.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,6 +34,7 @@ from ftqc_estimator import cli
 from ftqc_estimator.formulas import DISTILLATION_VARIABLES, FUNCTIONS, QEC_SCHEME_VARIABLES
 
 GOLDEN = Path(__file__).parent / "golden"
+OUTCOMES = GOLDEN / "expected" / "bad_input_outcomes.json"
 
 # a long string, of which no output stream may echo 200 characters in a row
 LONG = "x" * 100_000
@@ -113,15 +123,20 @@ def strict_json_problem(text):
     return None
 
 
-def run_problems(argv, where):
-    """Run ``cli.main``; describe an exit 1 or a non-JSON output stream."""
+def run_cli(argv):
+    """Run ``cli.main``: its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def problems_of(code, out, err, where):
+    """Describe an exit 1 or a non-JSON output stream."""
     problems = []
     if code not in (0, 2, 3):
-        problems.append(f"{where}: exit {code}: {err.getvalue().strip()}")
-    for stream, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+        problems.append(f"{where}: exit {code}: {err.strip()}")
+    for stream, text in (("stdout", out), ("stderr", err)):
         problem = strict_json_problem(text)
         if problem:
             problems.append(f"{where}: {stream}: {problem}")
@@ -130,18 +145,48 @@ def run_problems(argv, where):
     return problems
 
 
+def run_problems(argv, where):
+    return problems_of(*run_cli(argv), where)
+
+
+def outcome(code, out, err):
+    """The exit code, the error's type and stage ("-" when absent) and the
+    sha256 of stdout, in one line."""
+    error = json.loads(err)["error"] if err and not strict_json_problem(err) else {}
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    return f"{code} {error.get('type', '-')} {error.get('stage', '-')} {digest}"
+
+
+def sweep(case, directory):
+    """Run ``case``'s job with each bad value at each node, in ``directory``:
+    the problems found, and the outcome of each run by "path = value"."""
+    document, before, after = CASES[case]
+    shutil.copy(GOLDEN / "small_trace.jsonl", directory)
+    job = directory / "job.json"
+    problems, outcomes = [], {}
+    # the whole job, then each node below it
+    for path in [(), *node_paths(document)]:
+        for value in BAD_VALUES:
+            job.write_text(json.dumps(replaced(document, path, value) if path else value))
+            where = f"{'.'.join(map(str, path)) or 'job'} = {json.dumps(value)[:20]}"
+            result = run_cli([*before, "--job", str(job), *after])
+            problems += problems_of(*result, where)
+            assert where not in outcomes, where
+            outcomes[where] = outcome(*result)
+    return problems, outcomes
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_bad_value_fails_cleanly(case, tmp_path):
-    document, before, after = CASES[case]
-    shutil.copy(GOLDEN / "small_trace.jsonl", tmp_path)
-    job = tmp_path / "job.json"
-    problems = []
-    for path in node_paths(document):
-        for value in BAD_VALUES:
-            job.write_text(json.dumps(replaced(document, path, value)))
-            where = f"{'.'.join(map(str, path))} = {json.dumps(value)[:20]}"
-            problems += run_problems([*before, "--job", str(job), *after], where)
+    problems, outcomes = sweep(case, tmp_path)
     assert not problems, "\n".join(problems)
+    expected = json.loads(OUTCOMES.read_text())[case]
+    changed = [
+        f"{where}: {expected.get(where)} -> {outcomes.get(where)}"
+        for where in sorted(expected.keys() | outcomes.keys())
+        if expected.get(where) != outcomes.get(where)
+    ]
+    assert not changed, "\n".join(changed)
 
 
 # the alloc, t and ccz records: ids in lists of four, one and three
@@ -251,3 +296,17 @@ def test_random_formulas_fail_cleanly(tmp_path, job_input, changes):
     problems = run_problems(["estimate", "--job", str(job)], where)
     problems += run_problems(["frontier", "--job", str(job), "--slowdown-grid", "1,4,1e300"], where)
     assert not problems, "\n".join(problems)
+
+
+def record() -> None:
+    outcomes = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as directory:
+            problems, outcomes[case] = sweep(case, Path(directory))
+        assert not problems, "\n".join(problems)
+    OUTCOMES.write_text(json.dumps(outcomes, indent=1) + "\n")
+    print(f"{OUTCOMES.name}: {sum(map(len, outcomes.values()))} runs")
+
+
+if __name__ == "__main__":
+    record()
