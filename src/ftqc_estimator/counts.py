@@ -36,6 +36,7 @@ from .errors import (
     _shown,
     _unreadable,
     read_file,
+    read_record,
 )
 
 __all__ = [
@@ -135,7 +136,9 @@ class LogicalCounts(JsonRecord):
             )
 
     @classmethod
-    def from_mapping(cls, data: Mapping) -> "LogicalCounts":
+    def from_mapping(cls, data: Mapping, what: str = "") -> "LogicalCounts":
+        """A key or value of the wrong kind raises :class:`InvalidCountsError`."""
+        read_record(data, what or cls.__name__)
         known = {key: attr for attr, key in cls._json_fields()}
         for key in data:
             if key not in known:
@@ -235,7 +238,7 @@ def counts_from_estimates(direct: Union[LogicalCounts, Mapping]) -> LogicalCount
     This is the input path for programs whose logical estimates are
     already known; no trace is required.  Raises
     :class:`InvalidCountsError` when the record violates the counts
-    invariants.
+    invariants, and :class:`ConfigError` when it is not an object.
     """
     if isinstance(direct, LogicalCounts):
         return direct

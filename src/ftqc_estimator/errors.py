@@ -234,6 +234,13 @@ def read_string(value, what: str) -> str:
     return value
 
 
+def read_list(value, what: str, read_item: Callable) -> tuple:
+    """``value`` as a non-empty list, each item read by ``read_item``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list")
+    return tuple(read_item(item, f"{what}[{i}]") for i, item in enumerate(value))
+
+
 def read_choice(value, what: str, choices: type[Enum]):
     """``value`` as a member of the string enum ``choices``."""
     try:
@@ -281,6 +288,7 @@ class JsonRecord:
     """
 
     _RENAMED: dict[str, str] = {}
+    _BARE_KEYS = False  # True where messages name a key alone, as the job's do
 
     @classmethod
     @functools.cache
@@ -314,10 +322,11 @@ class JsonRecord:
         class name), then the key.
         """
         what = what or cls.__name__
+        prefix = "" if cls._BARE_KEYS else f"{what} "
         readers, keys, required = cls._json_readers()
         read_record(data, what, keys, required)
         return cls(**{
-            attr: read(data[key], f"{what} {key}")
+            attr: read(data[key], prefix + key)
             for attr, key, read in readers
             if key in required or data.get(key) is not None
         })
@@ -327,20 +336,25 @@ def _reader(hint) -> Callable:
     """The reader, called with (value, what), of a field annotated ``hint``:
     ``Optional[X]`` reads as ``X``, a whole ``int`` and a finite ``float``
     as numbers, a string enum by value, a record by its own
-    :meth:`~JsonRecord.from_mapping`, a formula from its source text."""
+    :meth:`~JsonRecord.from_mapping`, a formula from its source text, and
+    ``Union[scalar, X]`` as the record ``X`` if the value is an object."""
     from .formulas import FormulaExpr, parse_formula  # formulas imports this module
 
-    options = [arg for arg in get_args(hint) if arg is not type(None)]
-    if get_origin(hint) is Union and len(options) == 1:
-        hint = options[0]
+    if get_origin(hint) is Union:  # Optional[X] reads as X
+        hint = Union[tuple(arg for arg in get_args(hint) if arg is not type(None))]
     if hint is float:
         return read_number
     if hint is int:
         return functools.partial(read_number, whole=True)
     if hint is str:
         return read_string
-    if hint == FormulaExpr:
+    if hint == FormulaExpr:  # a Union too, of its node types, so tested first
         return lambda value, what: parse_formula(read_string(value, what))
+    if get_origin(hint) is Union:
+        scalar, record = map(_reader, get_args(hint))
+        return lambda value, what: (record if isinstance(value, dict) else scalar)(value, what)
+    if get_origin(hint) is tuple:  # tuple[X, ...]: a non-empty list of X
+        return functools.partial(read_list, read_item=_reader(get_args(hint)[0]))
     if issubclass(hint, Enum):
         return functools.partial(read_choice, choices=hint)
     if issubclass(hint, JsonRecord):

@@ -661,6 +661,11 @@ class TestNullKeys:
                 {"distillationUnits": [dict(UNIT_15_TO_1, applicability="logicalOnly")]},
                 ("distillationUnits",),
             ),
+            # the input's keys: null on all but one of them leaves that one
+            (
+                {"input": {"postLayout": POST_LAYOUT, "tracePath": "small_trace.jsonl"}},
+                ("input", "tracePath"),
+            ),
         ],
         ids=path_id,
     )
@@ -690,6 +695,44 @@ class TestNullKeys:
         job = write_job(tmp_path, **replaced(fields, path, None))
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, path[-1])
+
+
+class TestJobDocument:
+    """The job is read as a record, so a read job writes a job document."""
+
+    def test_a_read_job_reads_back_from_its_own_mapping(self, tmp_path):
+        path = write_job(
+            tmp_path,
+            distillationUnits=[UNIT_15_TO_1],
+            tFactoryConstraints={"maxTFactoryCopies": 4},
+            rotationSynthesis={"a": 1.0, "b": 5.3},
+        )
+        job = jobs.job_from_mapping(json.loads(path.read_text()))
+        assert jobs.job_from_mapping(json.loads(json.dumps(job.as_mapping()))) == job
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"qubitParams": 5}, "qubitParams must be a string, got 5"),
+            ({"qecScheme": [], "qubitParams": MAJORANA_PARAMS}, "qecScheme must be a string, got []"),
+            ({"errorBudget": "x"}, "errorBudget must be a finite number, got 'x'"),
+            ({"distillationUnits": []}, "distillationUnits must be a non-empty list"),
+            (
+                {"distillationUnits": [UNIT_15_TO_1, dict(UNIT_15_TO_1, numInputTs="x")]},
+                "distillationUnits[1] numInputTs must be a finite number, got 'x'",
+            ),
+            (
+                {"input": {}},
+                "job input must carry exactly one of tracePath, logicalCounts, or postLayout; "
+                "found none",
+            ),
+        ],
+        ids=["qubitParams", "qecScheme", "errorBudget", "emptyUnits", "unitItem", "noInput"],
+    )
+    def test_job_keys_are_named_alone(self, tmp_path, capsys, fields, message):
+        code, out, err = run(capsys, "estimate", "--job", str(write_job(tmp_path, **fields)))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "ConfigError", "message": message}
 
 
 class TestSweepCommand:

@@ -20,6 +20,7 @@ from ftqc_estimator.counts import (
 )
 from ftqc_estimator.errors import (
     ArityMismatchError,
+    ConfigError,
     DoubleAllocError,
     InvalidCountsError,
     TraceFormatError,
@@ -178,6 +179,11 @@ class TestCountsFromEstimates:
     def test_depth_without_rotations_rejected(self):
         with pytest.raises(InvalidCountsError):
             counts_from_estimates({"rotationCount": 0, "rotationDepth": 1})
+
+    @pytest.mark.parametrize("value", [[], 5, None, "ab"], ids=repr)
+    def test_non_object_rejected(self, value):
+        with pytest.raises(ConfigError, match="must be an object"):
+            counts_from_estimates(value)
 
     def test_depth_above_count_rejected(self):
         with pytest.raises(InvalidCountsError):
