@@ -11,6 +11,7 @@ field's name, so a record's keys are spelled once, by its fields.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -283,12 +284,15 @@ class JsonRecord:
     Values encode as: records by their own mapping, tuples as lists, enums
     by value, formula trees by their source text (their ``str``); None,
     int, float and str pass through.  :meth:`from_mapping` reads the same
-    keys back.  A record whose JSON is not one key per field, or whose
-    decoding raises errors of its own, overrides them.
+    keys back, except on the records written only (``FactoryRound``,
+    ``TFactoryPlan``, ``EstimateReport``): a round names its unit, and the
+    unit's formulas are not written.  A record whose JSON is not one key per
+    field, or whose decoding raises errors of its own, overrides them.
     """
 
     _RENAMED: dict[str, str] = {}
     _BARE_KEYS = False  # True where messages name a key alone, as the job's do
+    _hints = classmethod(functools.cache(get_type_hints))  # each field's annotation, by attribute
 
     @classmethod
     @functools.cache
@@ -301,7 +305,7 @@ class JsonRecord:
     def _json_readers(cls) -> tuple[tuple, frozenset, frozenset]:
         """(attribute, key, reader) per field, then all keys and the keys
         of the fields without a default, which are required."""
-        hints = get_type_hints(cls)
+        hints = cls._hints()
         readers = tuple((attr, key, _reader(hints[attr])) for attr, key in cls._json_fields())
         required = frozenset(
             key
@@ -330,6 +334,18 @@ class JsonRecord:
             for attr, key, read in readers
             if key in required or data.get(key) is not None
         })
+
+    @classmethod
+    def from_strings(cls, *args, **kwargs):
+        """The constructor, with each formula field given as source text and
+        parsed, in field order, before the record checks its values."""
+        from .formulas import FormulaExpr, parse_formula  # formulas imports this module
+
+        arguments = inspect.signature(cls).bind(*args, **kwargs).arguments
+        for attr, hint in cls._hints().items():
+            if attr in arguments and hint == FormulaExpr:
+                arguments[attr] = parse_formula(arguments[attr])
+        return cls(**arguments)
 
 
 def _reader(hint) -> Callable:

@@ -196,7 +196,7 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     if (counts is None) == (post_layout is None):
         raise ConfigError("exactly one of counts or post_layout must be provided")
     budget = ErrorBudget.from_value(error_budget)
-    units = tuple(distillation_units) if distillation_units else tfactory.default_units()
+    units = tfactory.default_units() if distillation_units is None else tuple(distillation_units)
 
     if counts is not None:
         has_rotations = counts.rotation_count > 0

@@ -168,27 +168,6 @@ class QecScheme(JsonRecord):
                 f"{self.max_code_distance!r}"
             )
 
-    @classmethod
-    def from_strings(
-        cls,
-        name: str,
-        crossing_prefactor: float,
-        error_correction_threshold: float,
-        logical_cycle_time: str,
-        physical_qubits_per_logical_qubit: str,
-        max_code_distance: int = 51,
-    ) -> "QecScheme":
-        return cls(
-            name=name,
-            crossing_prefactor=crossing_prefactor,
-            error_correction_threshold=error_correction_threshold,
-            logical_cycle_time=formulas.parse_formula(logical_cycle_time),
-            physical_qubits_per_logical_qubit=formulas.parse_formula(
-                physical_qubits_per_logical_qubit
-            ),
-            max_code_distance=max_code_distance,
-        )
-
 
 SURFACE_CODE = QecScheme.from_strings(
     name="surface_code",

@@ -100,29 +100,6 @@ class DistillationUnit(JsonRecord):
                 f"{self.num_output_ts}"
             )
 
-    @classmethod
-    def from_strings(
-        cls,
-        name: str,
-        num_input_ts: int,
-        num_output_ts: int,
-        failure_probability: str,
-        output_error_rate: str,
-        physical_qubits: str,
-        duration: str,
-        applicability: Applicability = Applicability.BOTH,
-    ) -> "DistillationUnit":
-        return cls(
-            name=name,
-            num_input_ts=num_input_ts,
-            num_output_ts=num_output_ts,
-            failure_probability=formulas.parse_formula(failure_probability),
-            output_error_rate=formulas.parse_formula(output_error_rate),
-            physical_qubits=formulas.parse_formula(physical_qubits),
-            duration=formulas.parse_formula(duration),
-            applicability=applicability,
-        )
-
     def allowed_distances(self, max_code_distance: int) -> tuple[int, ...]:
         """Code distances this unit may run at; distance 1 means physical level."""
         distances: list[int] = []
@@ -150,6 +127,8 @@ def default_units() -> tuple[DistillationUnit, ...]:
 
 @dataclass(frozen=True)
 class FactoryRound(JsonRecord):
+    """A round of a chain; written only, as ``unitName``, not the unit's formulas."""
+
     unit: DistillationUnit
     code_distance: int
     num_parallel_units: int

@@ -1,18 +1,24 @@
 """Full estimation pipeline: budget partitioning, reports, and frontiers."""
 
+import importlib
 import json
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 
+import ftqc_estimator
 from ftqc_estimator import tfactory
 from ftqc_estimator.counts import LogicalCounts
 from ftqc_estimator.errors import (
     ConfigError,
     EstimationStageError,
     InvalidPartitionError,
+    JsonRecord,
     NoFeasiblePipelineError,
 )
+from ftqc_estimator.jobs import load_job, run_job
 from ftqc_estimator.layout import DEFAULT_SYNTHESIS
 from ftqc_estimator.pipeline import (
     ErrorBudget,
@@ -29,6 +35,9 @@ from test_qec import gate_params, majorana_params
 ANCHOR_QUBITS = 20597
 ANCHOR_DEPTH = int(5.44e6)
 
+# a real job with custom units, and its report, for the records they hold
+JOB = load_job(Path(__file__).parent / "golden" / "distance_dependent_units.json")
+REPORT = run_job(JOB)
 
 RECORDS = [
     SURFACE_CODE,
@@ -41,12 +50,44 @@ RECORDS = [
     PostLayoutInput(100, 2000, 50000),
     TFactoryConstraints(max_t_factory_copies=4, max_logical_cycle_slowdown=2.5),
     TFactoryConstraints(),
+    JOB,
+    JOB.input,
+    REPORT.pre_layout_logical_resources,
+    REPORT.logical_qubit_parameters,
+    REPORT.assumed_error_budget,
+    REPORT.physical_resource_estimates,
+    REPORT.resource_estimates_breakdown,
 ]
+
+# Written only: a round names its unit, and the unit's formulas are not in
+# the report, so these do not read back.
+WRITE_ONLY = {
+    tfactory.FactoryRound: REPORT.t_factory_parameters.rounds[0],
+    tfactory.TFactoryPlan: REPORT.t_factory_parameters,
+    type(REPORT): REPORT,
+}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 def test_record_round_trips_through_its_mapping(record):
     assert type(record).from_mapping(record.as_mapping()) == record
+
+
+@pytest.mark.parametrize("record", WRITE_ONLY.values(), ids=lambda record: type(record).__name__)
+def test_write_only_record_does_not_read_back(record):
+    with pytest.raises(ConfigError, match="is missing unit$"):
+        type(record).from_mapping(record.as_mapping())
+
+
+def test_every_record_is_round_tripped_or_written_only():
+    for module in pkgutil.iter_modules(ftqc_estimator.__path__):
+        importlib.import_module(f"ftqc_estimator.{module.name}")
+    records = {
+        cls for cls in JsonRecord.__subclasses__() if cls.__module__.startswith("ftqc_estimator.")
+    }
+    covered = {type(record) for record in RECORDS}
+    assert covered.isdisjoint(WRITE_ONLY)
+    assert records == covered | WRITE_ONLY.keys()
 
 
 def anchor_report(**overrides):
@@ -352,6 +393,45 @@ class TestFrontier:
         )
         result = frontier(counts, slowdown_grid=[1.0, 2.0], **kwargs)
         assert len(result.points) + len(result.errors) == 2
+
+
+class TestEmptyUnitList:
+    """An empty unit list is not the default unit: no unit, no T factory."""
+
+    def kwargs(self):
+        return dict(
+            qubit_params=gate_params(),
+            qec_scheme=SURFACE_CODE,
+            error_budget=1e-3,
+            distillation_units=[],
+        )
+
+    def assert_no_unit_error(self, error):
+        assert isinstance(error, EstimationStageError)
+        assert error.stage == "t-factory-pipeline"
+        assert isinstance(error.cause, ConfigError)
+        assert str(error.cause) == "at least one distillation unit is required"
+
+    def test_estimate_with_t_states_raises(self):
+        counts = LogicalCounts(num_qubits=10, t_count=1000)
+        with pytest.raises(EstimationStageError) as raised:
+            estimate(counts, **self.kwargs())
+        self.assert_no_unit_error(raised.value)
+
+    def test_frontier_reports_it_at_every_factor(self):
+        counts = LogicalCounts(num_qubits=10, t_count=1000)
+        result = frontier(counts, slowdown_grid=[1.0, 2.0], **self.kwargs())
+        assert result.points == ()
+        assert [factor for factor, _ in result.errors] == [1.0, 2.0]
+        for _, error in result.errors:
+            self.assert_no_unit_error(error)
+
+    def test_t_free_job_runs_no_search(self):
+        counts = LogicalCounts(num_qubits=10, measurement_count=50)
+        report = estimate(counts, **self.kwargs())
+        kwargs = dict(self.kwargs(), distillation_units=None)
+        assert report.to_json() == estimate(counts, **kwargs).to_json()
+        assert report.t_factory_parameters.rounds == ()
 
 
 class TestFrontierPlansOnce:

@@ -1,8 +1,16 @@
 """QEC engine: distance selection, qubit profiles, and parameter validation."""
 
+import dataclasses
+
 import pytest
 
-from ftqc_estimator.errors import AboveThresholdError, ConfigError, DistanceExhaustedError
+from ftqc_estimator.errors import (
+    AboveThresholdError,
+    ConfigError,
+    DistanceExhaustedError,
+    FormulaSyntaxError,
+)
+from ftqc_estimator.formulas import parse_formula
 from ftqc_estimator.qec import (
     FLOQUET_CODE,
     SURFACE_CODE,
@@ -264,3 +272,46 @@ class TestSchemes:
             QecScheme.from_strings("bad", 0.03, 1.5, "1", "1")
         with pytest.raises(ConfigError):
             QecScheme.from_strings("bad", 0.03, 0.01, "1", "1", max_code_distance=10)
+
+
+class TestFromStrings:
+    """``from_strings`` is the constructor with formula fields as source text."""
+
+    ARGS = ("x", 0.03, 0.01, "3 * codeDistance", "2 * codeDistance ^ 2", 25)
+
+    def test_formulas_are_parsed(self):
+        scheme = QecScheme.from_strings(*self.ARGS)
+        assert scheme == QecScheme(
+            "x", 0.03, 0.01,
+            parse_formula("3 * codeDistance"), parse_formula("2 * codeDistance ^ 2"), 25,
+        )
+
+    def test_non_string_formula_is_a_syntax_error_at_position_0(self):
+        with pytest.raises(FormulaSyntaxError) as raised:
+            QecScheme.from_strings("x", 0.03, 0.01, 5, "1")
+        assert raised.value.position == 0
+        assert str(raised.value) == "at position 0: expected a formula string, got 5"
+
+    def test_syntax_error_beats_a_bad_value(self):
+        # the prefactor is out of range too, but formulas are parsed first
+        with pytest.raises(FormulaSyntaxError) as raised:
+            QecScheme.from_strings("bad", -1.0, 0.01, "1 +", "1")
+        assert raised.value.position == 3
+
+    def test_keywords_equal_positions(self):
+        names = [f.name for f in dataclasses.fields(QecScheme)]
+        by_keyword = QecScheme.from_strings(**dict(zip(names, self.ARGS)))
+        assert by_keyword == QecScheme.from_strings(*self.ARGS)
+
+    def test_omitted_max_code_distance_takes_the_field_default(self):
+        scheme = QecScheme.from_strings(*self.ARGS[:-1])
+        default = QecScheme.__dataclass_fields__["max_code_distance"].default
+        assert scheme.max_code_distance == default == SURFACE_CODE.max_code_distance
+
+    def test_missing_or_extra_arguments_are_type_errors(self):
+        with pytest.raises(TypeError):
+            QecScheme.from_strings(*self.ARGS[:4])
+        with pytest.raises(TypeError):
+            QecScheme.from_strings(*self.ARGS, 7)
+        with pytest.raises(TypeError):
+            QecScheme.from_strings(*self.ARGS, code_distance=7)

@@ -12,6 +12,7 @@ from ftqc_estimator.errors import (
     ConfigError,
     DivisionByZeroError,
     FactoryConstraintInfeasibleError,
+    FormulaSyntaxError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
 )
@@ -77,6 +78,56 @@ class TestUnitDefinition:
             applicability=Applicability.LOGICAL_ONLY,
         )
         assert logical.allowed_distances(7) == (3, 5, 7)
+
+
+
+class TestFromStrings:
+    """``from_strings`` is the constructor with formula fields as source text."""
+
+    ARGS = ("u", 15, 1, "15 * inputErrorRate", "35 * inputErrorRate ^ 3", "31", "11")
+
+    def test_formulas_are_parsed(self):
+        unit = DistillationUnit.from_strings(*self.ARGS)
+        assert unit == DistillationUnit(*self.ARGS[:3], *map(formulas.parse_formula, self.ARGS[3:]))
+        assert DEFAULT_15_TO_1.output_error_rate == formulas.parse_formula("35 * inputErrorRate ^ 3")
+
+    def test_non_string_formula_is_a_syntax_error_at_position_0(self):
+        with pytest.raises(FormulaSyntaxError) as raised:
+            DistillationUnit.from_strings(*self.ARGS[:6], 7)
+        assert raised.value.position == 0
+        assert str(raised.value) == "at position 0: expected a formula string, got 7"
+
+    def test_formulas_are_parsed_in_field_order(self):
+        with pytest.raises(FormulaSyntaxError) as raised:
+            DistillationUnit.from_strings("u", 15, 1, "1 +", 5, "1", "1")
+        assert raised.value.position == 3
+
+    def test_syntax_error_beats_a_bad_value(self):
+        # 5 -> 5 does not concentrate fidelity, but formulas are parsed first
+        with pytest.raises(FormulaSyntaxError):
+            DistillationUnit.from_strings("bad", 5, 5, "0", "(", "1", "1")
+
+    def test_keywords_equal_positions(self):
+        names = [f.name for f in dataclasses.fields(DistillationUnit)]
+        by_keyword = DistillationUnit.from_strings(**dict(zip(names, self.ARGS)))
+        assert by_keyword == DistillationUnit.from_strings(*self.ARGS)
+
+    def test_omitted_applicability_takes_the_field_default(self):
+        unit = DistillationUnit.from_strings(*self.ARGS)
+        default = DistillationUnit.__dataclass_fields__["applicability"].default
+        assert unit.applicability is default is Applicability.BOTH
+
+    def test_missing_or_extra_arguments_are_type_errors(self):
+        with pytest.raises(TypeError):
+            DistillationUnit.from_strings(*self.ARGS[:6])
+        with pytest.raises(TypeError):
+            DistillationUnit.from_strings(*self.ARGS, Applicability.BOTH, 7)
+        with pytest.raises(TypeError):
+            DistillationUnit.from_strings(*self.ARGS, rounds=2)
+
+    def test_record_without_formulas_is_its_constructor(self):
+        assert TFactoryConstraints.from_strings(4, 2.5) == TFactoryConstraints(4, 2.5)
+        assert TFactoryConstraints.from_strings(max_t_factory_copies=4) == TFactoryConstraints(4)
 
 
 class TestSearchPipeline:
