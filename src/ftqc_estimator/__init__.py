@@ -81,7 +81,7 @@ from .qec import (
     logical_qubit_profile,
     required_logical_error_rate,
 )
-from .report import BudgetPartition, EstimateReport
+from .report import EstimateReport
 from .tfactory import (
     DEFAULT_15_TO_1,
     Applicability,

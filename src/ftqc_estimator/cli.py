@@ -60,7 +60,10 @@ def _write_text(path: Optional[str], text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {_shown(path)}: {_shown(str(exc))}") from exc
 
 
 def _failure(exc: EstimatorError) -> tuple[int, dict]:
@@ -256,9 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_frontier(
                 args.job, _parse_values(args.slowdown_grid), args.out, args.format
             )
-        if args.command == "profiles":
-            return cmd_profiles(args.format, args.out)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_profiles(args.format, args.out)
     except EstimatorError as exc:
         code, description = _failure(exc)
         sys.stderr.write(json.dumps({"error": description}) + "\n")
@@ -268,7 +269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )
         return EXIT_INTERNAL
-    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,12 +28,11 @@ from .errors import (
     EstimatorError,
     InvalidPartitionError,
     JsonRecord,
-    read_number,
 )
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .qec import PhysicalQubitParams, QecScheme
 from .report import (
-    BudgetPartition,
+    ErrorBudget,
     EstimateReport,
     PhysicalResourceEstimates,
     ResourceEstimatesBreakdown,
@@ -72,44 +71,6 @@ ASSUMPTIONS = (
 
 
 @dataclass(frozen=True)
-class ErrorBudget(JsonRecord):
-    """Total failure-rate budget, optionally with explicit shares.
-
-    Either all three shares (logical, T states, rotations) are given and
-    must sum to the total, or none is and the engine splits the total in
-    thirds, folding the shares of absent features into the logical part.
-    """
-
-    total: float
-    logical: Optional[float] = None
-    t_states: Optional[float] = None
-    rotations: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.total < 1.0:
-            raise ConfigError(f"error budget total must be in (0, 1), got {self.total!r}")
-        given = [p for p in (self.logical, self.t_states, self.rotations) if p is not None]
-        if given and len(given) != 3:
-            raise InvalidPartitionError(
-                "either give all of logical, tStates, and rotations, or none"
-            )
-        if any(p < 0 for p in given):
-            raise InvalidPartitionError("budget parts must be non-negative")
-
-    @property
-    def is_explicit(self) -> bool:
-        return self.logical is not None
-
-    @classmethod
-    def from_value(cls, value: Union[float, "ErrorBudget", dict]) -> "ErrorBudget":
-        if isinstance(value, ErrorBudget):
-            return value
-        if isinstance(value, dict):
-            return cls.from_mapping(value, "errorBudget")
-        return cls(total=read_number(value, "errorBudget"))
-
-
-@dataclass(frozen=True)
 class PostLayoutInput(JsonRecord):
     """Directly supplied post-layout aggregates.
 
@@ -130,25 +91,26 @@ class PostLayoutInput(JsonRecord):
 
 def partition_budget(
     budget: ErrorBudget, has_rotations: bool, has_t_states: bool
-) -> BudgetPartition:
+) -> ErrorBudget:
     """Split the total budget into logical, distillation, and synthesis shares.
 
-    Explicit shares pass through unchanged (after checking their sum).
-    The default split is a third each, with the share of any absent
-    feature folded into the logical part; the logical share is computed
-    as the remainder so the three always sum back to the total.
+    An explicit budget is returned as it is, after checking its sum.  The
+    default split is a third each, with the share of any absent feature
+    folded into the logical part; the logical share is computed as the
+    remainder so the three always sum back to the total.  The result is
+    the report's ``assumedErrorBudget``.
     """
-    if budget.is_explicit:
+    if budget.logical is not None:
         total = budget.logical + budget.t_states + budget.rotations
         if abs(total - budget.total) > _PARTITION_TOLERANCE:
             raise InvalidPartitionError(
                 f"explicit parts sum to {total!r}, expected {budget.total!r}"
             )
-        return BudgetPartition(budget.total, budget.logical, budget.t_states, budget.rotations)
+        return budget
     t_share = budget.total / 3.0 if has_t_states else 0.0
     rot_share = budget.total / 3.0 if has_rotations else 0.0
     logical = budget.total - t_share - rot_share
-    return BudgetPartition(budget.total, logical, t_share, rot_share)
+    return ErrorBudget(budget.total, logical, t_share, rot_share)
 
 
 @contextmanager
@@ -156,8 +118,6 @@ def _stage(name: str):
     """Re-raise component errors tagged with the pipeline stage."""
     try:
         yield
-    except EstimationStageError:
-        raise
     except EstimatorError as exc:
         raise EstimationStageError(name, exc) from exc
 

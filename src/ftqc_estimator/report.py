@@ -6,21 +6,23 @@ estimates, the resource breakdown, logical qubit parameters, T factory
 parameters, pre-layout logical resources, the assumed error budget, the
 physical qubit parameters, and the estimation assumptions.  Each key is
 the camelCase of a field name (see :class:`~.errors.JsonRecord`).
+The assumed error budget is an :class:`ErrorBudget`, the record a job's
+``errorBudget`` is read into, so a report's split reads back as a budget.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .counts import LogicalCounts
-from .errors import JsonRecord
+from .errors import ConfigError, InvalidPartitionError, JsonRecord, read_number
 from .qec import LogicalQubitProfile, PhysicalQubitParams
 from .tfactory import TFactoryPlan
 
 __all__ = [
-    "BudgetPartition",
+    "ErrorBudget",
     "PhysicalResourceEstimates",
     "ResourceEstimatesBreakdown",
     "EstimateReport",
@@ -28,18 +30,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BudgetPartition(JsonRecord):
-    """Total error budget and its three shares.
+class ErrorBudget(JsonRecord):
+    """Total failure-rate budget, optionally with explicit shares.
 
-    The shares always sum back to the total: the logical share is
-    computed as the remainder after the distillation and synthesis
-    shares are fixed.
+    Either all three shares (logical, T states, rotations) are given and
+    must sum to the total, or none is and the engine splits the total in
+    thirds, folding the shares of absent features into the logical part.
+    A report's ``assumedErrorBudget`` is the explicit budget that was used.
     """
 
     total: float
-    logical: float
-    t_states: float
-    rotations: float
+    logical: Optional[float] = None
+    t_states: Optional[float] = None
+    rotations: Optional[float] = None
+
+    def __post_init__(self):
+        if not 0.0 < self.total < 1.0:
+            raise ConfigError(f"error budget total must be in (0, 1), got {self.total!r}")
+        given = [p for p in (self.logical, self.t_states, self.rotations) if p is not None]
+        if given and len(given) != 3:
+            raise InvalidPartitionError(
+                "either give all of logical, tStates, and rotations, or none"
+            )
+        if any(p < 0 for p in given):
+            raise InvalidPartitionError("budget parts must be non-negative")
+
+    @classmethod
+    def from_value(cls, value: Union[float, "ErrorBudget", dict]) -> "ErrorBudget":
+        if isinstance(value, ErrorBudget):
+            return value
+        if isinstance(value, dict):
+            return cls.from_mapping(value, "errorBudget")
+        return cls(total=read_number(value, "errorBudget"))
 
 
 @dataclass(frozen=True)
@@ -81,7 +103,7 @@ class EstimateReport(JsonRecord):
     logical_qubit_parameters: LogicalQubitProfile
     t_factory_parameters: TFactoryPlan
     pre_layout_logical_resources: Optional[LogicalCounts]
-    assumed_error_budget: BudgetPartition
+    assumed_error_budget: ErrorBudget
     physical_qubit_parameters: PhysicalQubitParams
     assumptions: tuple[str, ...]
 

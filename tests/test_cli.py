@@ -580,6 +580,30 @@ class TestUnreadableFiles:
         assert_config_error(code, out, err, "bespoke.json")
 
 
+class TestUnwritableOut:
+    COMMANDS = {
+        "estimate": [],
+        "sweep": ["--param", "errorBudget", "--values", "1e-3"],
+        "frontier": ["--slowdown-grid", "1,2"],
+        "profiles": None,
+    }
+    TARGETS = {
+        "missing-dir": lambda tmp_path: tmp_path / "absent" / "out.json",
+        "directory": lambda tmp_path: tmp_path,
+        "long-name": lambda tmp_path: tmp_path / ("x" * 100_000),
+    }
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_2_with_a_short_echo(self, tmp_path, capsys, command, target):
+        extra = self.COMMANDS[command]
+        argv = [command] if extra is None else [command, "--job", str(write_job(tmp_path)), *extra]
+        out_path = str(self.TARGETS[target](tmp_path))
+        code, out, err = run(capsys, *argv, "--out", out_path)
+        assert_config_error(code, out, err, "cannot write output file")
+        assert len(err.encode()) < 1000
+
+
 class TestMalformedRecords:
     DEEP = "[" * 100_000 + "]" * 100_000
 

@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from ftqc_estimator import cli
+from ftqc_estimator.jobs import job_from_mapping, run_job
+from ftqc_estimator.pipeline import ErrorBudget
 from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE
 from ftqc_estimator.tfactory import DEFAULT_15_TO_1
 
@@ -85,6 +87,38 @@ def test_output_is_byte_identical(name, monkeypatch):
     monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)  # the built-in profiles
     expected = json.loads((GOLDEN / "expected" / f"{name}.json").read_text())
     assert run_case(name) == expected
+
+
+# the golden jobs whose estimate succeeds
+SUCCEEDING = [
+    "copy_limit_slowdown",
+    "distance_dependent_units",
+    "distance_free_units",
+    "eight_units_d51",
+    "estimate_table",
+    "frontier_custom_units",
+    "frontier_t_free",
+    "gate_ns_e3_counts",
+    "gate_ns_e4_trace",
+    "gate_us_e3_post_layout",
+    "gate_us_e4_counts",
+    "logical_only_units",
+    "maj_ns_e4_counts",
+    "maj_ns_e6_post_layout",
+    "sweep_error_row",
+    "trace_crlf",
+]
+
+
+@pytest.mark.parametrize("name", SUCCEEDING)
+def test_assumed_budget_fed_back_as_the_job_budget_gives_the_same_report(name):
+    document = json.loads((GOLDEN / f"{name}.json").read_text())
+    report = run_job(job_from_mapping(document, GOLDEN))
+    assert type(report.assumed_error_budget) is ErrorBudget
+    document["errorBudget"] = report.as_mapping()["assumedErrorBudget"]
+    again = run_job(job_from_mapping(document, GOLDEN))
+    assert type(again.assumed_error_budget) is ErrorBudget
+    assert again.to_json() == report.to_json()
 
 
 # json.dumps of each built-in record's as_mapping, byte for byte

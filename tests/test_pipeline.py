@@ -28,7 +28,7 @@ from ftqc_estimator.pipeline import (
     partition_budget,
 )
 from ftqc_estimator.profiles import BUILTIN_PROFILE_NAMES, load_profile
-from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE
+from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE, QecScheme
 from ftqc_estimator.tfactory import DEFAULT_15_TO_1, TFactoryConstraints
 from test_qec import gate_params, majorana_params
 
@@ -127,6 +127,15 @@ class TestPartitionBudget:
         assert parts.logical == 0.5e-4
         assert parts.t_states == 0.3e-4
         assert parts.rotations == 0.2e-4
+
+    def test_explicit_budget_is_returned_itself(self):
+        budget = ErrorBudget(1e-4, logical=0.5e-4, t_states=0.3e-4, rotations=0.2e-4)
+        assert partition_budget(budget, False, False) is budget
+
+    def test_default_split_is_an_explicit_error_budget(self):
+        parts = partition_budget(ErrorBudget(1e-4), True, False)
+        assert type(parts) is ErrorBudget
+        assert partition_budget(parts, True, False) is parts
 
     def test_explicit_parts_must_sum(self):
         budget = ErrorBudget(1e-4, logical=0.5e-4, t_states=0.3e-4, rotations=0.1e-4)
@@ -331,6 +340,32 @@ class TestReportInvariants:
             )
         assert excinfo.value.stage == "t-factory-pipeline"
         assert isinstance(excinfo.value.cause, NoFeasiblePipelineError)
+
+    def test_scheme_failing_at_a_tabulated_distance_fails_the_factory_search(self):
+        # the footprint turns negative only at 61, a distance the algorithm
+        # does not need but the factory search tabulates
+        scheme = QecScheme.from_strings(
+            "shrinking",
+            0.03,
+            0.01,
+            "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance",
+            "60 - codeDistance",
+            max_code_distance=61,
+        )
+        with pytest.raises(EstimationStageError) as excinfo:
+            estimate(
+                LogicalCounts(num_qubits=4, t_count=1000, measurement_count=1),
+                qubit_params=gate_params(),
+                qec_scheme=scheme,
+                error_budget=1e-3,
+            )
+        assert excinfo.value.stage == "t-factory-pipeline"
+        assert isinstance(excinfo.value.cause, ConfigError)
+        assert "at distance 61:" in str(excinfo.value.cause)
+
+    def test_slowdown_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="slowdown must be >= 1"):
+            anchor_report(slowdown=0.5)
 
 
 class TestFrontier:

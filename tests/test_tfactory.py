@@ -217,6 +217,10 @@ class TestSearchPipeline:
         plan = search_pipeline(default_units(), scheme, majorana_params(), 1e-4, 1e-10)
         assert all(r.code_distance >= 3 for r in plan.rounds)
 
+    def test_more_than_eight_units_rejected(self):
+        with pytest.raises(ConfigError, match="at most 8 distillation units"):
+            search_pipeline((DEFAULT_15_TO_1,) * 9, FLOQUET_CODE, majorana_params(), 1e-4, 1e-10)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             search_pipeline((), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10)
@@ -365,6 +369,30 @@ class TestSearchMatchesOracle:
         assert len(plan.rounds) == expected[2]
         assert chosen_rounds(plan) == expected[3]
         assert all(d >= 3 for _, d in chosen_rounds(plan))
+
+    def test_distance_dependent_unit_skips_a_rejected_physical_level(self):
+        # the footprint is non-positive at distance 1, so the unit's
+        # distance-1 branch drops out; the oracle sees logical levels only
+        scheme = QecScheme.from_strings(
+            "gapped",
+            0.07,
+            0.01,
+            "3 * codeDistance * oneQubitMeasurementTime",
+            "2 * codeDistance ^ 2 - 8",
+            max_code_distance=13,
+        )
+        unit = dataclasses.replace(DISTANCE_AWARE, applicability=Applicability.BOTH)
+        assert 1 in unit.allowed_distances(scheme.max_code_distance)
+        units = (DEFAULT_15_TO_1, unit)
+        logical = [dataclasses.replace(u, applicability=Applicability.LOGICAL_ONLY) for u in units]
+        params = majorana_params(t_gate_error_rate=1e-3)
+        expected = oracle_search(logical, scheme, params, 1e-3, 1e-9)
+        plan = search_pipeline(units, scheme, params, 1e-3, 1e-9)
+        assert expected is not None
+        assert plan.physical_qubits_per_copy == expected[0]
+        assert plan.duration_per_run == pytest.approx(expected[1])
+        assert len(plan.rounds) == expected[2]
+        assert chosen_rounds(plan) == expected[3]
 
     def test_infeasible_agrees_with_oracle(self, small_scheme):
         units = (DEFAULT_15_TO_1,)
