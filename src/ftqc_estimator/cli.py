@@ -57,8 +57,6 @@ SWEEP_COLUMNS = (
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             Path(path).write_text(text)

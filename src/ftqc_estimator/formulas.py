@@ -7,14 +7,13 @@ variables.
 
 Grammar (whitespace-insensitive)::
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
-    factor  := unary ("^" factor)?
+    expr    := unary (("+" | "-" | "*" | "/" | "^") unary)*
     unary   := "-" unary | primary
     primary := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
 ``^`` is right-associative and binds tighter than ``*`` and ``/``, which
-bind tighter than ``+`` and ``-``.  Identifiers match
+bind tighter than ``+`` and ``-``; a leading ``-`` binds tighter than all
+of them, so ``-2 ^ 2`` is ``(-2) ^ 2``.  Identifiers match
 ``[A-Za-z][A-Za-z0-9_]*``; numbers are decimal literals with optional
 scientific notation.  The only recognized functions are ``ceil``,
 ``floor``, ``log2``, and ``sqrt``.
@@ -35,7 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from math import isfinite, log2, sqrt
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -132,59 +131,60 @@ FormulaExpr = Union[Number, Variable, Call, Neg, BinOp]
 # ---------------------------------------------------------------------------
 # lexer
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_OPERATORS = "+-*/^()"
-
 _EOF = "end"
-_NUM = "number"
-_IDENT = "identifier"
+
+# Whitespace, then at most one token: a number, an identifier or an
+# operator.  A match that takes no token stops at the end of the source or
+# at a character that starts none.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<identifier>[A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))?"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # _NUM, _IDENT, a single operator character, or _EOF
+class _Token(NamedTuple):
+    kind: str  # "number", "identifier" (as _TOKEN_RE names them), an operator, or _EOF
     text: str
     position: int
 
 
 def _tokenize(source: str) -> Iterator[_Token]:
     pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPERATORS:
-            yield _Token(ch, ch, pos)
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            yield _Token(_NUM, m.group(), pos)
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            yield _Token(_IDENT, m.group(), pos)
-            pos = m.end()
-            continue
+    while True:
+        m = _TOKEN_RE.match(source, pos)
+        pos = m.end()
+        group = m.lastindex
+        if group is None:
+            break
+        text = m.group(group)
+        yield _Token(m.lastgroup or text, text, m.start(group))
+    if pos < len(source):
         raise FormulaSyntaxError(pos, "a number, variable, operator, or parenthesis")
-    yield _Token(_EOF, "", n)
+    yield _Token(_EOF, "", pos)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-_OPERAND_MSG = "a number, variable, function call, or '('"
-
 # Most tokens a formula may have: over ten times the longest formula the
 # package or its benchmark uses (22 tokens).  It bounds the depth of the
-# parsed tree, so that parsing (at most five frames per two tokens, for
-# nested parentheses), evaluation and serialization stay well below
-# Python's default recursion limit of 1000.
+# parsed tree, so that parsing (at most three frames per two tokens, for
+# nested parentheses: ``expr``, ``unary`` and ``primary``), evaluation and
+# serialization stay well below Python's default recursion limit of 1000.
 _MAX_TOKENS = 256
+
+# Binding strength of each binary operator; a unary minus binds tighter
+# than any of them, and a number, variable, call or group tighter still.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_NEG_PRECEDENCE = 4
+_ATOM_PRECEDENCE = 5
+
+
+def _operand_bounds(op: str) -> tuple[int, int]:
+    """The least precedence ``op``'s left and right operands may have
+    without parentheses: ``^`` groups to the right, the others to the left."""
+    prec = _PRECEDENCE[op]
+    return (prec + 1, prec) if op == "^" else (prec, prec + 1)
 
 
 class _Parser:
@@ -216,25 +216,13 @@ class _Parser:
             raise FormulaSyntaxError(self.current.position, "an operator or end of input")
         return expr
 
-    def expr(self) -> FormulaExpr:
-        node = self.term()
-        while self.current.kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> FormulaExpr:
-        node = self.factor()
-        while self.current.kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> FormulaExpr:
+    def expr(self, least: int = 1) -> FormulaExpr:
+        """A unary operand followed by binary operators of precedence at
+        least ``least``, grouped as :func:`_operand_bounds` says."""
         node = self.unary()
-        if self.current.kind == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
+        while _PRECEDENCE.get(self.current.kind, 0) >= least:
+            op = self.advance().kind
+            node = BinOp(op, node, self.expr(_operand_bounds(op)[1]))
         return node
 
     def unary(self) -> FormulaExpr:
@@ -245,13 +233,13 @@ class _Parser:
 
     def primary(self) -> FormulaExpr:
         tok = self.current
-        if tok.kind == _NUM:
+        if tok.kind == "number":
             self.advance()
             value = float(tok.text)
             if not math.isfinite(value):
                 raise FormulaSyntaxError(tok.position, "a representable numeric literal")
             return Number(value)
-        if tok.kind == _IDENT:
+        if tok.kind == "identifier":
             self.advance()
             if self.current.kind == "(":
                 if tok.text not in FUNCTIONS:
@@ -266,7 +254,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")", "')' to close the group")
             return inner
-        raise FormulaSyntaxError(tok.position, _OPERAND_MSG)
+        raise FormulaSyntaxError(tok.position, "a number, variable, function call, or '('")
 
 
 def parse_formula(source: str) -> FormulaExpr:
@@ -285,10 +273,6 @@ def parse_formula(source: str) -> FormulaExpr:
 # ---------------------------------------------------------------------------
 # serialization
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-_NEG_PRECEDENCE = 4
-_ATOM_PRECEDENCE = 5
-
 
 def _precedence(expr: FormulaExpr) -> int:
     if isinstance(expr, BinOp):
@@ -296,6 +280,12 @@ def _precedence(expr: FormulaExpr) -> int:
     if isinstance(expr, Neg):
         return _NEG_PRECEDENCE
     return _ATOM_PRECEDENCE
+
+
+def _operand_source(expr: FormulaExpr, least: int) -> str:
+    """``expr``'s source text, in parentheses if it binds looser than ``least``."""
+    text = to_source(expr)
+    return f"({text})" if _precedence(expr) < least else text
 
 
 def to_source(expr: FormulaExpr) -> str:
@@ -312,23 +302,10 @@ def to_source(expr: FormulaExpr) -> str:
     if isinstance(expr, Call):
         return f"{expr.func}({to_source(expr.arg)})"
     if isinstance(expr, Neg):
-        inner = to_source(expr.operand)
-        # unary minus binds tighter than any binary operator
-        if _precedence(expr.operand) < _NEG_PRECEDENCE:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-{_operand_source(expr.operand, _NEG_PRECEDENCE)}"
     if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        left = to_source(expr.left)
-        right = to_source(expr.right)
-        left_prec = _precedence(expr.left)
-        right_prec = _precedence(expr.right)
-        # "^" is right-associative; the other operators are left-associative
-        if left_prec < prec or (expr.op == "^" and left_prec == prec):
-            left = f"({left})"
-        if right_prec < prec or (expr.op != "^" and right_prec == prec):
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
+        left, right = _operand_bounds(expr.op)
+        return f"{_operand_source(expr.left, left)} {expr.op} {_operand_source(expr.right, right)}"
     raise TypeError(f"not a formula node: {expr!r}")
 
 

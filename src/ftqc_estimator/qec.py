@@ -136,13 +136,18 @@ def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
     return rate
 
 
+# Largest ``maxCodeDistance`` a scheme may set.  The factory search's work
+# grows linearly with it, so the cap bounds a job's running time.
+_DISTANCE_CAP = 101
+
+
 @dataclass(frozen=True)
 class QecScheme(JsonRecord):
     """A quantum error correction scheme.
 
     Both formulas may reference the operation-time variables and
     ``codeDistance``; they must evaluate to positive values for every odd
-    distance up to ``max_code_distance``.
+    distance up to ``max_code_distance``, which is at most 101.
     """
 
     name: str
@@ -166,6 +171,10 @@ class QecScheme(JsonRecord):
             raise ConfigError(
                 f"max code distance must be an odd integer >= 3, got "
                 f"{self.max_code_distance!r}"
+            )
+        if self.max_code_distance > _DISTANCE_CAP:
+            raise ConfigError(
+                f"maxCodeDistance must be at most {_DISTANCE_CAP}, got {self.max_code_distance!r}"
             )
 
 

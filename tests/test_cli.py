@@ -383,6 +383,11 @@ class TestNumericValidation:
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, "maxCodeDistance")
 
+    def test_max_code_distance_above_the_cap_exits_2(self, tmp_path, capsys):
+        job = write_job(tmp_path, qecScheme=dict(SURFACE_SCHEME, maxCodeDistance=103))
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "maxCodeDistance must be at most 101")
+
     def test_nan_crossing_prefactor_exits_2(self, tmp_path, capsys):
         job = write_job(tmp_path, qecScheme=dict(SURFACE_SCHEME, crossingPrefactor=math.nan))
         code, out, err = run(capsys, "estimate", "--job", str(job))
@@ -563,6 +568,12 @@ class TestUnreadableFiles:
         job.write_bytes(self.NOT_UTF8)
         code, out, err = run(capsys, "estimate", "--job", str(job))
         assert_config_error(code, out, err, "job.json")
+
+    def test_truncated_job_file_exits_2(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text('{"input": ')
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert_config_error(code, out, err, "is not valid JSON: Expecting")
 
     def test_non_utf8_trace_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "trace.jsonl").write_bytes(b'{"op": "alloc", "q": [0]}\n\xff\n')
@@ -843,6 +854,13 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_non_numeric_field_rejected(self, tmp_path, capsys):
+        job = write_job(tmp_path, qecScheme="surface_code")
+        code, out, err = run(
+            capsys, "sweep", "--job", str(job), "--param", "qecScheme", "--values", "1"
+        )
+        assert_config_error(code, out, err, "is not numeric")
+
     def test_integer_field_sweep(self, tmp_path, capsys):
         job = write_job(tmp_path)
         code, out, err = run(
@@ -970,6 +988,12 @@ class TestProfilesCommand:
         assert code == 0
         payload = json.loads(out)
         assert [p["name"] for p in payload] == ["bespoke"]
+
+    def test_profile_dir_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "bespoke.json").write_text("{}")
+        monkeypatch.setenv("FTQC_PROFILE_DIR", str(tmp_path / "bespoke.json"))
+        code, out, err = run(capsys, "profiles")
+        assert_config_error(code, out, err, "not a directory")
 
     def test_profile_dir_override_for_jobs(self, tmp_path, capsys, monkeypatch):
         base, _, _ = run(capsys, "profiles", "--format", "structured")

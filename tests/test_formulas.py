@@ -1,8 +1,10 @@
 """Formula engine: grammar, round-trips, evaluation, and error cases."""
 
+import itertools
 import math
 import pickle
 import random
+import re
 import struct
 
 import pytest
@@ -110,6 +112,12 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError) as excinfo:
             parse("-" + longest)
         assert excinfo.value.position == 256
+
+    def test_literal_beyond_float_range_rejected(self):
+        with pytest.raises(FormulaSyntaxError) as excinfo:
+            parse("1e999")
+        assert excinfo.value.position == 0
+        assert excinfo.value.expected == "a representable numeric literal"
 
     def test_whitespace_insensitive(self):
         assert parse("1+2*3") == parse(" 1 + 2\t*  3 ")
@@ -475,3 +483,194 @@ def test_an_evaluated_tree_equals_and_hashes_like_a_fresh_parse():
     # pickling leaves the compiled closure behind; the copy evaluates alike
     copy = pickle.loads(pickle.dumps(tree))
     assert copy == tree and formulas.evaluate(copy, env) == formulas.evaluate(tree, env)
+
+
+# ---------------------------------------------------------------------------
+# the precedence-climbing parser against the recursive descent it replaced
+
+_REF_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_REF_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_REF_OPERATORS = "+-*/^()"
+
+
+def reference_tokenize(source):
+    """The engine's former lexer, a loop over characters."""
+    pos = 0
+    n = len(source)
+    while pos < n:
+        ch = source[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in _REF_OPERATORS:
+            yield (ch, ch, pos)
+            pos += 1
+            continue
+        m = _REF_NUMBER_RE.match(source, pos)
+        if m:
+            yield ("number", m.group(), pos)
+            pos = m.end()
+            continue
+        m = _REF_IDENT_RE.match(source, pos)
+        if m:
+            yield ("identifier", m.group(), pos)
+            pos = m.end()
+            continue
+        raise FormulaSyntaxError(pos, "a number, variable, operator, or parenthesis")
+    yield ("end", "", n)
+
+
+class ReferenceParser:
+    """The engine's former parser, one method per precedence level: the
+    reference the precedence-climbing parser must match, errors included."""
+
+    def __init__(self, source):
+        self.tokens = list(itertools.islice(reference_tokenize(source), 257))
+        if self.tokens[-1][0] != "end":
+            raise FormulaSyntaxError(self.tokens[-1][2], "the end of the formula within 256 tokens")
+        self.index = 0
+
+    @property
+    def kind(self):
+        return self.tokens[self.index][0]
+
+    def advance(self):
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def expect(self, kind, expected):
+        if self.kind != kind:
+            raise FormulaSyntaxError(self.tokens[self.index][2], expected)
+        self.advance()
+
+    def parse(self):
+        expr = self.expr()
+        if self.kind != "end":
+            raise FormulaSyntaxError(self.tokens[self.index][2], "an operator or end of input")
+        return expr
+
+    def expr(self):
+        node = self.term()
+        while self.kind in ("+", "-"):
+            node = BinOp(self.advance()[0], node, self.term())
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.kind in ("*", "/"):
+            node = BinOp(self.advance()[0], node, self.factor())
+        return node
+
+    def factor(self):
+        node = self.unary()
+        if self.kind == "^":
+            self.advance()
+            node = BinOp("^", node, self.factor())
+        return node
+
+    def unary(self):
+        if self.kind == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.primary()
+
+    def primary(self):
+        kind, text, position = self.tokens[self.index]
+        if kind == "number":
+            self.advance()
+            if not math.isfinite(float(text)):
+                raise FormulaSyntaxError(position, "a representable numeric literal")
+            return Number(float(text))
+        if kind == "identifier":
+            self.advance()
+            if self.kind == "(":
+                if text not in formulas.FUNCTIONS:
+                    raise UnknownFunctionError(text, position)
+                self.advance()
+                arg = self.expr()
+                self.expect(")", "')' to close the function call")
+                return Call(text, arg)
+            return Variable(text)
+        if kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")", "')' to close the group")
+            return inner
+        raise FormulaSyntaxError(position, "a number, variable, function call, or '('")
+
+
+def parse_outcome(parse_, source):
+    """A parsed tree, or a raised error as its type and fields."""
+    try:
+        return parse_(source)
+    except (FormulaSyntaxError, UnknownFunctionError) as exc:
+        fields = ("position", "expected", "name")
+        return type(exc), tuple(getattr(exc, field, None) for field in fields)
+
+
+# the grammar walk's operands; the other tokens come only by a random draw
+_ORACLE_OPERANDS = (
+    "0", "7", "12", "3.5", ".5", "1.", "2e3", "4E-2", "1e+5", "٣", "٣.٣",
+    "e", "E", "x", "codeDistance", "a_1", "ceil", "sin",
+)
+_ORACLE_OTHERS = ("1e999", ".", "+", "-", "*", "/", "^", "**", "(", ")")
+_ORACLE_BAD = ("#", "_", "$", "é")
+_ORACLE_GAPS = ("", "", " ", " ", "\t", "  ", "\xa0")
+
+
+def oracle_tokens(rng: random.Random, count: int, bad: bool) -> list:
+    """``count`` tokens, either drawn at random or walking the grammar (an
+    operand, then an operator, with groups and calls closed in time) with a
+    few replaced at random; ``bad`` mixes in characters that start no token."""
+    vocabulary = _ORACLE_OPERANDS + _ORACLE_OTHERS + (_ORACLE_BAD if bad else ())
+    if rng.random() < 0.5:
+        return [rng.choice(vocabulary) for _ in range(count)]
+    tokens, depth, operand = [], 0, True
+    while len(tokens) + depth < count or operand and count:
+        if operand:
+            choice = rng.choice(("-", "(", "call", "x", "x", "x"))
+            if choice in ("(", "call"):
+                tokens.append("(" if choice == "(" else rng.choice(("ceil", "sqrt")) + "(")
+                depth += 1
+            elif choice == "-":
+                tokens.append("-")
+            else:
+                tokens.append(rng.choice(_ORACLE_OPERANDS))
+                operand = False
+        elif depth and rng.random() < 0.3:
+            tokens.append(")")
+            depth -= 1
+        else:
+            tokens.append(rng.choice("+-*/^"))
+            operand = True
+    tokens += [")"] * depth
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(vocabulary)
+    return tokens
+
+
+def test_parser_matches_recursive_descent_on_random_token_strings():
+    rng = random.Random(1515)
+    reached = set()
+    for _ in range(20_000):
+        count = int(301 * rng.random() ** 3)
+        tokens = oracle_tokens(rng, count, bad=rng.random() < 0.25)
+        source = "".join(token + rng.choice(_ORACLE_GAPS) for token in tokens)
+        expected = parse_outcome(lambda s: ReferenceParser(s).parse(), source)
+        assert parse_outcome(formulas.parse_formula, source) == expected, source
+        if isinstance(expected, tuple):
+            reached.add(expected[1][1] or expected[0].__name__)
+        else:
+            reached.add(type(expected).__name__)
+    # the strings reach every error the parser raises, and every node type at the root
+    assert reached == {
+        "Number", "Variable", "Call", "Neg", "BinOp", "UnknownFunctionError",
+        "a number, variable, operator, or parenthesis",
+        "a number, variable, function call, or '('",
+        "an operator or end of input",
+        "')' to close the group",
+        "')' to close the function call",
+        "a representable numeric literal",
+        "the end of the formula within 256 tokens",
+    }

@@ -273,6 +273,13 @@ class TestSchemes:
         with pytest.raises(ConfigError):
             QecScheme.from_strings("bad", 0.03, 0.01, "1", "1", max_code_distance=10)
 
+    def test_max_code_distance_is_capped_at_101(self):
+        # the cap bounds the factory search, whose work grows with the distance
+        widest = QecScheme.from_strings("wide", 0.03, 0.01, "1", "1", max_code_distance=101)
+        assert widest.max_code_distance == 101
+        with pytest.raises(ConfigError, match="maxCodeDistance must be at most 101, got 103"):
+            QecScheme.from_strings("wide", 0.03, 0.01, "1", "1", max_code_distance=103)
+
 
 class TestFromStrings:
     """``from_strings`` is the constructor with formula fields as source text."""
