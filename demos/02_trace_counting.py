@@ -7,7 +7,7 @@ measurement events.  Counting it yields the circuit width and the
 pre-layout logical resource tallies, including the rotation depth.
 """
 
-from ftqc_estimator import TraceEvent, count_trace, counts_from_estimates
+from ftqc_estimator import LogicalCounts, TraceEvent, count_trace
 
 # a small program on three qubits
 trace = [
@@ -32,7 +32,7 @@ print("CCZ gates:", counts.ccz_count)
 print("measurements:", counts.measurement_count)
 
 # programs with known tallies can skip the trace entirely
-direct = counts_from_estimates(
+direct = LogicalCounts.from_mapping(
     {"numQubits": 2048, "tCount": 10**9, "rotationCount": 10**4, "rotationDepth": 5000}
 )
 print("direct input:", direct)

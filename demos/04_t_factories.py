@@ -9,9 +9,9 @@ the fleet is sized so supply covers demand within the runtime.
 """
 
 from ftqc_estimator import (
+    DEFAULT_15_TO_1,
     FLOQUET_CODE,
     TFactoryConstraints,
-    default_units,
     load_profile,
     required_t_state_error,
     search_pipeline,
@@ -21,13 +21,13 @@ from ftqc_estimator import (
 maj = load_profile("qubit_maj_ns_e4").qubit_params
 
 # one round takes the raw non-Clifford error 0.05 down to 35 * 0.05^3
-plan = search_pipeline(default_units(), FLOQUET_CODE, maj, maj.t_gate_error_rate, 1e-2)
+plan = search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, maj, maj.t_gate_error_rate, 1e-2)
 print(f"{len(plan.rounds)} round reaches:", f"{plan.output_error_rate:.3e}")
 
 # a billion T states under a 3.3e-5 distillation budget need much better
 demand = 10**9
 target = required_t_state_error(1e-4 / 3, demand)
-plan = search_pipeline(default_units(), FLOQUET_CODE, maj, maj.t_gate_error_rate, target)
+plan = search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, maj, maj.t_gate_error_rate, target)
 print(f"\ntarget per T state: {target:.3e}")
 for k, r in enumerate(plan.rounds, start=1):
     print(

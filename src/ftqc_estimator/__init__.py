@@ -11,7 +11,6 @@ from .counts import (
     LogicalCounts,
     TraceEvent,
     count_trace,
-    counts_from_estimates,
     parse_trace_lines,
     read_trace,
 )
@@ -89,7 +88,6 @@ from .tfactory import (
     FactoryRound,
     TFactoryConstraints,
     TFactoryPlan,
-    default_units,
     required_t_state_error,
     search_pipeline,
     size_fleet,

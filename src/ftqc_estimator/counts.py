@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO, Union
 
 from .errors import (
     ArityMismatchError,
@@ -44,7 +44,6 @@ __all__ = [
     "LogicalCounts",
     "EVENT_KINDS",
     "count_trace",
-    "counts_from_estimates",
     "parse_trace_lines",
     "read_trace",
 ]
@@ -73,8 +72,7 @@ _CANONICAL_HEADS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One record of a gate-event trace."""
 
     op: str
@@ -184,8 +182,7 @@ def count_trace(events: Iterable[TraceEvent]) -> LogicalCounts:
     events = iter(events)
     try:
         for index, event in enumerate(events):
-            op = event.op
-            qubits = event.qubits
+            op, qubits = event
             if op not in EVENT_KINDS:
                 raise TraceFormatError(f"unknown trace op {_shown(repr(op))} at event {index}")
             # one non-negative id passes every arity check but the
@@ -230,19 +227,6 @@ def count_trace(events: Iterable[TraceEvent]) -> LogicalCounts:
         ccix_count=tallies["ccix"],
         measurement_count=tallies["measure"],
     )
-
-
-def counts_from_estimates(direct: Union[LogicalCounts, Mapping]) -> LogicalCounts:
-    """Validate and pass through directly supplied logical counts.
-
-    This is the input path for programs whose logical estimates are
-    already known; no trace is required.  Raises
-    :class:`InvalidCountsError` when the record violates the counts
-    invariants, and :class:`ConfigError` when it is not an object.
-    """
-    if isinstance(direct, LogicalCounts):
-        return direct
-    return LogicalCounts.from_mapping(direct)
 
 
 def parse_trace_lines(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceEvent]:

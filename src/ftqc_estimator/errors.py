@@ -339,12 +339,12 @@ class JsonRecord:
     def from_strings(cls, *args, **kwargs):
         """The constructor, with each formula field given as source text and
         parsed, in field order, before the record checks its values."""
-        from .formulas import FormulaExpr, parse_formula  # formulas imports this module
+        from . import formulas  # formulas imports this module
 
         arguments = inspect.signature(cls).bind(*args, **kwargs).arguments
         for attr, hint in cls._hints().items():
-            if attr in arguments and hint == FormulaExpr:
-                arguments[attr] = parse_formula(arguments[attr])
+            if attr in arguments and hint == formulas.FormulaExpr:
+                arguments[attr] = formulas.parse_formula(arguments[attr])
         return cls(**arguments)
 
 
@@ -354,7 +354,9 @@ def _reader(hint) -> Callable:
     as numbers, a string enum by value, a record by its own
     :meth:`~JsonRecord.from_mapping`, a formula from its source text, and
     ``Union[scalar, X]`` as the record ``X`` if the value is an object."""
-    from .formulas import FormulaExpr, parse_formula  # formulas imports this module
+    # looked up on the module when called, so a replaced parse_formula is
+    # seen by the cached readers too; formulas imports this module
+    from . import formulas
 
     if get_origin(hint) is Union:  # Optional[X] reads as X
         hint = Union[tuple(arg for arg in get_args(hint) if arg is not type(None))]
@@ -364,8 +366,8 @@ def _reader(hint) -> Callable:
         return functools.partial(read_number, whole=True)
     if hint is str:
         return read_string
-    if hint == FormulaExpr:  # a Union too, of its node types, so tested first
-        return lambda value, what: parse_formula(read_string(value, what))
+    if hint == formulas.FormulaExpr:  # a Union too, of its node types, so tested first
+        return lambda value, what: formulas.parse_formula(read_string(value, what))
     if get_origin(hint) is Union:
         scalar, record = map(_reader, get_args(hint))
         return lambda value, what: (record if isinstance(value, dict) else scalar)(value, what)

@@ -156,26 +156,23 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     if (counts is None) == (post_layout is None):
         raise ConfigError("exactly one of counts or post_layout must be provided")
     budget = ErrorBudget.from_value(error_budget)
-    units = tfactory.default_units() if distillation_units is None else tuple(distillation_units)
+    units = (tfactory.DEFAULT_15_TO_1,) if distillation_units is None else tuple(distillation_units)
 
+    # post-layout aggregates carry no feature flags; keep the plain
+    # three-way split so explicit and default budgets agree
+    has_rotations = counts is None or counts.rotation_count > 0
+    has_t_states = counts is None or (
+        counts.t_count + counts.ccz_count + counts.ccix_count + counts.rotation_count
+    ) > 0
+    with _stage("budget-partition"):
+        partition = partition_budget(budget, has_rotations, has_t_states)
     if counts is not None:
-        has_rotations = counts.rotation_count > 0
-        has_t_states = (
-            counts.t_count + counts.ccz_count + counts.ccix_count + counts.rotation_count
-        ) > 0
-        with _stage("budget-partition"):
-            partition = partition_budget(budget, has_rotations, has_t_states)
         with _stage("rotation-synthesis"):
             # the synthesis budget is only consulted when rotations exist;
             # the result carries the same three aggregates as PostLayoutInput
             post_layout = layout.estimate_algorithmic(
                 counts, partition.rotations, rotation_synthesis
             )
-    else:
-        # post-layout aggregates carry no feature flags; keep the plain
-        # three-way split so explicit and default budgets agree
-        with _stage("budget-partition"):
-            partition = partition_budget(budget, True, True)
     logical_qubits = post_layout.logical_qubits_post_layout
     depth = post_layout.algorithmic_depth
     total_t = post_layout.total_t_states

@@ -48,7 +48,6 @@ __all__ = [
     "TFactoryPlan",
     "TFactoryConstraints",
     "DEFAULT_15_TO_1",
-    "default_units",
     "required_t_state_error",
     "search_pipeline",
     "size_fleet",
@@ -119,10 +118,6 @@ DEFAULT_15_TO_1 = DistillationUnit.from_strings(
     physical_qubits="31 * physicalQubitsPerLogicalQubit",
     duration="11 * logicalCycleTime",
 )
-
-
-def default_units() -> tuple[DistillationUnit, ...]:
-    return (DEFAULT_15_TO_1,)
 
 
 @dataclass(frozen=True)
@@ -220,23 +215,26 @@ def _parallel_units(sequence: Sequence[DistillationUnit], last: int = 1) -> list
     return counts
 
 
-def _search(
+def search_pipeline(
     units: Sequence[DistillationUnit],
     scheme: QecScheme,
     params: PhysicalQubitParams,
     input_error: float,
     required_error: float,
-    max_rounds: int,
-) -> Optional[TFactoryPlan]:
-    """Depth-first search over chains of up to ``max_rounds`` rounds.
+    max_rounds: int = 3,
+) -> TFactoryPlan:
+    """Find the cheapest distillation chain reaching the required error.
 
-    Each branch appends one round to the chain and shares the prefix's
-    work.  A unit whose error formulas ignore the code distance has the
-    same failure and output error at every distance, so its round is one
-    branch that keeps every allowed distance as an option; any other unit
-    branches once per allowed distance.  A chain that reaches the target
-    is scored, never extended: another round can only widen the copy and
-    lengthen the run.
+    Depth-first search over chains of 1 to ``max_rounds`` rounds, each
+    round any unit at any allowed code distance, chaining output error
+    into the next round's input; raises :class:`NoFeasiblePipelineError`
+    when nothing reaches the target.  Each branch appends one round to
+    the chain and shares the prefix's work.  A unit whose error formulas
+    ignore the code distance has the same failure and output error at
+    every distance, so its round is one branch that keeps every allowed
+    distance as an option; any other unit branches once per allowed
+    distance.  A chain that reaches the target is scored, never extended:
+    another round can only widen the copy and lengthen the run.
 
     Every formula reads its variables from one table per search, filled
     lazily: a code distance maps to the variables of a round at that
@@ -248,15 +246,16 @@ def _search(
     and costs are still evaluated, and any formula error raised, in the
     order of a search without the memo.
 
-    Two bounds drop work that cannot win.  A round is dropped when even
-    one unit of it is wider than the best cap so far.  A chain that has
-    not reached the target needs another round, so its last round runs at
-    least ``ceil(min numInputTs / numOutputTs)`` units and each earlier
-    round at least what it takes to feed that (the lookahead width bound);
-    the chain is not extended when that lower bound on the cap of any
-    completion is strictly above the best cap, so chains with an equal cap
-    still compete on duration.  Neither bound can change the winner, but a
-    formula that would raise only inside a cut subtree is never evaluated.
+    Two bounds drop work that cannot win, so the search stays exact.  A
+    round is dropped when even one unit of it is wider than the best cap
+    so far.  A chain that has not reached the target needs another round,
+    so its last round runs at least ``ceil(min numInputTs / numOutputTs)``
+    units and each earlier round at least what it takes to feed that (the
+    lookahead width bound); the chain is not extended when that lower
+    bound on the cap of any completion is strictly above the best cap, so
+    chains with an equal cap still compete on duration.  Neither bound can
+    change the winner, but a formula that would raise only inside a cut
+    subtree is never evaluated.
 
     Scoring a chain: the narrowest feasible copy is
     ``cap = max_k min_d parallel_k * qubits_k(d)``, and under that cap each
@@ -268,6 +267,17 @@ def _search(
     compared in unit-list order, then by ascending distance for units
     that branch per distance.
     """
+    if not units:
+        raise ConfigError("at least one distillation unit is required")
+    if len(units) > MAX_UNITS:
+        raise ConfigError(f"at most {MAX_UNITS} distillation units are supported")
+    if not 0.0 < input_error < 1.0:
+        raise ConfigError(f"tGateErrorRate must be in (0, 1) for T states, got {input_error!r}")
+    if not 0.0 < required_error < 1.0:
+        raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
+    if max_rounds < 1:
+        raise ConfigError(f"max_rounds must be >= 1, got {max_rounds}")
+
     times = params.time_variables()
     base = {**times, "cliffordErrorRate": params.clifford_error_rate}
     table: dict[Optional[int], Optional[dict[str, float]]] = {None: base}
@@ -388,45 +398,14 @@ def _search(
             chain.pop()
 
     visit(input_error)
-    return best_plan
-
-
-def search_pipeline(
-    units: Sequence[DistillationUnit],
-    scheme: QecScheme,
-    params: PhysicalQubitParams,
-    input_error: float,
-    required_error: float,
-    max_rounds: int = 3,
-) -> TFactoryPlan:
-    """Find the cheapest distillation chain reaching the required error.
-
-    Considers every chain of 1 to ``max_rounds`` rounds, each round any
-    unit at any allowed code distance, chaining output error into the
-    next round's input.  Among feasible chains the winner minimizes
-    physical qubits per copy, then run duration, then round count; the
-    search is exact because it only skips chains that are provably worse
-    (see :func:`_search` for the tie rule).  Raises
-    :class:`NoFeasiblePipelineError` when nothing reaches the target.
-    """
-    if not units:
-        raise ConfigError("at least one distillation unit is required")
-    if len(units) > MAX_UNITS:
-        raise ConfigError(f"at most {MAX_UNITS} distillation units are supported")
-    if not 0.0 < input_error < 1.0:
-        raise ConfigError(f"tGateErrorRate must be in (0, 1) for T states, got {input_error!r}")
-    if not 0.0 < required_error < 1.0:
-        raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
-    if max_rounds < 1:
-        raise ConfigError(f"max_rounds must be >= 1, got {max_rounds}")
-
-    plan = _search(units, scheme, params, input_error, required_error, max_rounds)
-    if plan is None:
+    if best_plan is None:
         raise NoFeasiblePipelineError(
             f"no distillation chain of <= {max_rounds} rounds reaches error "
             f"{required_error:g} from input error {input_error:g}"
         )
-    return plan
+    return best_plan
+
+
 
 
 def size_fleet(

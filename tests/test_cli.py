@@ -143,6 +143,18 @@ class TestEstimateCommand:
         assert code == 2
         assert "qecScheme" in json.loads(err)["error"]["message"]
 
+    def test_internal_error_exits_1_with_its_type_and_message(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def boom(job):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(jobs, "run_job", boom)
+        code, out, err = run(capsys, "estimate", "--job", str(write_job(tmp_path)))
+        assert code == 1
+        assert out == ""
+        assert err == '{"error": {"type": "RuntimeError", "message": "boom"}}\n'
+
 
 MAJORANA_PARAMS = {
     "instructionSet": "majorana",

@@ -14,7 +14,6 @@ from ftqc_estimator.counts import (
     LogicalCounts,
     TraceEvent,
     count_trace,
-    counts_from_estimates,
     parse_trace_lines,
     read_trace,
 )
@@ -157,33 +156,23 @@ class TestCountTrace:
 
 
 class TestCountsFromEstimates:
-    def test_pass_through(self):
-        counts = LogicalCounts(
-            num_qubits=9,
-            t_count=10,
-            rotation_count=4,
-            rotation_depth=2,
-            ccz_count=3,
-            ccix_count=1,
-            measurement_count=5,
-        )
-        assert counts_from_estimates(counts) is counts
+    """Directly supplied counts, read by ``LogicalCounts.from_mapping``."""
 
     def test_all_zero(self):
-        assert counts_from_estimates(LogicalCounts()) == LogicalCounts()
+        assert LogicalCounts.from_mapping({}) == LogicalCounts()
 
     def test_mapping_input(self):
-        counts = counts_from_estimates({"numQubits": 2, "tCount": 7})
+        counts = LogicalCounts.from_mapping({"numQubits": 2, "tCount": 7})
         assert counts == LogicalCounts(num_qubits=2, t_count=7)
 
     def test_depth_without_rotations_rejected(self):
         with pytest.raises(InvalidCountsError):
-            counts_from_estimates({"rotationCount": 0, "rotationDepth": 1})
+            LogicalCounts.from_mapping({"rotationCount": 0, "rotationDepth": 1})
 
     @pytest.mark.parametrize("value", [[], 5, None, "ab"], ids=repr)
     def test_non_object_rejected(self, value):
         with pytest.raises(ConfigError, match="must be an object"):
-            counts_from_estimates(value)
+            LogicalCounts.from_mapping(value)
 
     def test_depth_above_count_rejected(self):
         with pytest.raises(InvalidCountsError):

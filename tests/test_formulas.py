@@ -6,12 +6,13 @@ import pickle
 import random
 import re
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftqc_estimator import formulas
+from ftqc_estimator import formulas, jobs
 from ftqc_estimator.errors import (
     DivisionByZeroError,
     FormulaDomainError,
@@ -112,6 +113,10 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError) as excinfo:
             parse("-" + longest)
         assert excinfo.value.position == 256
+
+    def test_serializing_a_non_node_raises_type_error(self):
+        with pytest.raises(TypeError, match="not a formula node"):
+            formulas.to_source("not a node")
 
     def test_literal_beyond_float_range_rejected(self):
         with pytest.raises(FormulaSyntaxError) as excinfo:
@@ -674,3 +679,20 @@ def test_parser_matches_recursive_descent_on_random_token_strings():
         "a representable numeric literal",
         "the end of the formula within 256 tokens",
     }
+
+
+def test_job_decoding_looks_parse_formula_up_when_it_parses(monkeypatch):
+    # the first load fills the per-record reader caches; a parse_formula
+    # replaced afterwards must still see each inline formula of the job
+    job_path = Path(__file__).parent / "golden" / "frontier_custom_units.json"
+    jobs.load_job(job_path)
+    parse_formula = formulas.parse_formula
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return parse_formula(source)
+
+    monkeypatch.setattr(formulas, "parse_formula", counting)
+    jobs.load_job(job_path)
+    assert len(calls) == 10

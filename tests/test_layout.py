@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ftqc_estimator.counts import LogicalCounts
-from ftqc_estimator.errors import InvalidBudgetError
+from ftqc_estimator.errors import ConfigError, InvalidBudgetError
 from ftqc_estimator.layout import (
     RotationSynthesisConstants,
     algorithmic_depth,
@@ -103,6 +103,10 @@ class TestAlgorithmicDepth:
             algorithmic_depth(make_counts(rot=1, depth=1), 0)
         with pytest.raises(ValueError):
             algorithmic_depth(make_counts(t=1), 5)
+
+    def test_negative_multiplier_rejected(self):
+        with pytest.raises(ConfigError, match="t_per_rotation must be >= 0"):
+            algorithmic_depth(LogicalCounts(), -1)
 
 
 class TestTotalTStates:

@@ -1,6 +1,7 @@
 """QEC engine: distance selection, qubit profiles, and parameter validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -62,6 +63,10 @@ class TestPhysicalQubitParams:
             gate_params(one_qubit_gate_time=None)
         with pytest.raises(ConfigError):
             gate_params(two_qubit_gate_time=0.0)
+
+    def test_infinite_time_rejected(self):
+        with pytest.raises(ConfigError, match="twoQubitGateTime must be finite"):
+            gate_params(two_qubit_gate_time=math.inf)
 
     def test_majorana_requires_measurement_times(self):
         with pytest.raises(ConfigError):

@@ -21,11 +21,11 @@ from ftqc_estimator.formulas import evaluate
 from ftqc_estimator.qec import FLOQUET_CODE, QecScheme, evaluate_scheme_formulas
 from ftqc_estimator.tfactory import (
     DEFAULT_15_TO_1,
+    EMPTY_PLAN,
     Applicability,
     DistillationUnit,
     TFactoryConstraints,
     TFactoryPlan,
-    default_units,
     required_t_state_error,
     search_pipeline,
     size_fleet,
@@ -48,6 +48,10 @@ class TestRequiredTStateError:
             required_t_state_error(0.0, 10)
         with pytest.raises(ValueError):
             required_t_state_error(0.1, 0)
+
+    def test_demand_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="float range"):
+            required_t_state_error(0.1, 10**400)
 
 
 class TestUnitDefinition:
@@ -133,7 +137,7 @@ class TestFromStrings:
 class TestSearchPipeline:
     def test_single_round_suffices(self):
         plan = search_pipeline(
-            default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
+            (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
         )
         assert len(plan.rounds) == 1
         assert plan.output_error_rate == pytest.approx(3.5e-11)
@@ -142,7 +146,7 @@ class TestSearchPipeline:
 
     def test_two_rounds_needed(self):
         plan = search_pipeline(
-            default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 1e-12
+            (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-12
         )
         assert len(plan.rounds) == 2
         assert plan.output_error_rate == pytest.approx(1.5e-30, rel=1e-2)
@@ -152,21 +156,21 @@ class TestSearchPipeline:
     def test_loose_target_still_runs_one_round(self):
         # target above the input error: a single round always improves it
         plan = search_pipeline(
-            default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 5e-4
+            (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 5e-4
         )
         assert len(plan.rounds) == 1
 
     def test_no_feasible_pipeline(self):
         with pytest.raises(NoFeasiblePipelineError):
             search_pipeline(
-                default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 1e-95
+                (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-95
             )
 
     def test_failure_probability_at_or_above_one_invalidates_round(self):
         # 15 * 0.08 > 1: retries never succeed, so no chain exists
         hot = majorana_params(t_gate_error_rate=0.08)
         with pytest.raises(NoFeasiblePipelineError):
-            search_pipeline(default_units(), FLOQUET_CODE, hot, 0.08, 1e-6)
+            search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, hot, 0.08, 1e-6)
 
     @pytest.mark.parametrize("field", ["physical_qubits", "duration"])
     def test_overflowing_cost_invalidates_round(self, field):
@@ -182,7 +186,7 @@ class TestSearchPipeline:
 
     def test_duration_includes_expected_retries(self):
         plan = search_pipeline(
-            default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
+            (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
         )
         d = plan.rounds[0].code_distance
         cycle, _ = evaluate_scheme_formulas(FLOQUET_CODE, majorana_params(), d)
@@ -191,7 +195,7 @@ class TestSearchPipeline:
 
     def test_prefers_fewest_qubits(self):
         plan = search_pipeline(
-            default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
+            (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
         )
         # one 15-to-1 unit at the cheapest allowed distance
         _, footprint = evaluate_scheme_formulas(
@@ -214,7 +218,7 @@ class TestSearchPipeline:
             "3 * codeDistance * oneQubitMeasurementTime",
             "2 * codeDistance ^ 2 - 4",
         )
-        plan = search_pipeline(default_units(), scheme, majorana_params(), 1e-4, 1e-10)
+        plan = search_pipeline((DEFAULT_15_TO_1,), scheme, majorana_params(), 1e-4, 1e-10)
         assert all(r.code_distance >= 3 for r in plan.rounds)
 
     def test_more_than_eight_units_rejected(self):
@@ -225,12 +229,12 @@ class TestSearchPipeline:
         with pytest.raises(ConfigError):
             search_pipeline((), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10)
         with pytest.raises(ValueError):
-            search_pipeline(default_units(), FLOQUET_CODE, majorana_params(), 0.0, 1e-10)
+            search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 0.0, 1e-10)
         with pytest.raises(ValueError):
-            search_pipeline(default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 0.0)
+            search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 0.0)
         with pytest.raises(ValueError):
             search_pipeline(
-                default_units(), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10, max_rounds=0
+                (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10, max_rounds=0
             )
 
 
@@ -615,6 +619,10 @@ class TestSizeFleet:
         # compares false with every slowdown, which switches the cap off
         with pytest.raises(ConfigError):
             TFactoryConstraints(**limits)
+
+    def test_negative_demand_rejected(self):
+        with pytest.raises(ConfigError, match="total T states must be >= 0"):
+            size_fleet(EMPTY_PLAN, -1, 1.0)
 
     def test_zero_demand(self):
         plan, slowdown = size_fleet(flat_plan(), 0, 1e6)
