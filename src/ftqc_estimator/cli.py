@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     EstimatorError,
     _shown,
+    indented_json,
     read_file,
     read_number,
 )
@@ -171,8 +172,7 @@ def cmd_frontier(
         lines += [f"# error at slowdown {e['slowdown']}: {e['message']}" for e in errors]
         _write_text(out_path, "\n".join(lines) + "\n")
     else:
-        document = json.dumps({"points": points, "errors": errors}, indent=2, allow_nan=False)
-        _write_text(out_path, document + "\n")
+        _write_text(out_path, indented_json({"points": points, "errors": errors}) + "\n")
     return EXIT_OK
 
 
@@ -180,8 +180,7 @@ def cmd_profiles(fmt: str = "table", out_path: Optional[str] = None) -> int:
     """List the hardware profiles in the active profile directory."""
     listed = profiles.list_profiles()
     if fmt == "structured":
-        document = json.dumps([p.as_mapping() for p in listed], indent=2, allow_nan=False)
-        _write_text(out_path, document + "\n")
+        _write_text(out_path, indented_json(listed) + "\n")
         return EXIT_OK
     columns = (
         "name",

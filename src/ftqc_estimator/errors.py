@@ -5,7 +5,8 @@ Every error raised deliberately by this package derives from
 programming mistakes with a single ``except`` clause.  The readers below
 decode job JSON into typed values.  :class:`JsonRecord` reads and writes
 every record from its dataclass fields, each key the camelCase of its
-field's name, so a record's keys are spelled once, by its fields.
+field's name, so a record's keys are spelled once, by its fields, and
+:func:`indented_json` writes records and documents as indented JSON.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from numbers import Real
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -281,13 +284,15 @@ class JsonRecord:
     fields: each field, in field order, under the camelCase of its name or
     under its entry in ``_RENAMED``.
 
-    Values encode as: records by their own mapping, tuples as lists, enums
-    by value, formula trees by their source text (their ``str``); None,
-    int, float and str pass through.  :meth:`from_mapping` reads the same
-    keys back, except on the records written only (``FactoryRound``,
-    ``TFactoryPlan``, ``EstimateReport``): a round names its unit, and the
-    unit's formulas are not written.  A record whose JSON is not one key per
-    field, or whose decoding raises errors of its own, overrides them.
+    Values encode as: records by their own mapping, tuples and lists as
+    lists, dicts as objects, enums by value, formula trees by their source
+    text (their ``str``); None, bool, int, float and str pass through.
+    :func:`indented_json` writes the same JSON without building the
+    mapping.  :meth:`from_mapping` reads the same keys back, except on the
+    records written only (``FactoryRound``, ``TFactoryPlan``,
+    ``EstimateReport``): a round names its unit, and the unit's formulas
+    are not written.  A record whose JSON is not one key per field, or
+    whose decoding raises errors of its own, overrides them.
     """
 
     _RENAMED: dict[str, str] = {}
@@ -313,6 +318,19 @@ class JsonRecord:
             if f.default is MISSING and f.default_factory is MISSING
         )
         return readers, frozenset(key for _, key, _ in readers), required
+
+    @classmethod
+    @functools.cache
+    def _json_heads(cls, newline: str) -> Optional[tuple[tuple[str, str], ...]]:
+        """(attribute, the text before its value) per field, for the record
+        written after ``newline``; None where :meth:`as_mapping` is overridden."""
+        if cls.as_mapping is not JsonRecord.as_mapping:
+            return None
+        inner = newline + "  "
+        return tuple(
+            (attr, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            for i, (attr, key) in enumerate(cls._json_fields())
+        )
 
     def as_mapping(self) -> dict:
         return {key: _encoded(getattr(self, attr)) for attr, key in self._json_fields()}
@@ -380,7 +398,7 @@ def _reader(hint) -> Callable:
     raise TypeError(f"no JSON reader for fields of type {hint!r}")
 
 
-_PLAIN = frozenset({type(None), int, float, str})
+_PLAIN = frozenset({type(None), bool, int, float, str})
 
 
 def _encoded(value):
@@ -388,11 +406,78 @@ def _encoded(value):
         return value
     if isinstance(value, JsonRecord):
         return value.as_mapping()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_encoded(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encoded(item) for key, item in value.items()}
     if isinstance(value, Enum):
         return value.value
     return str(value)  # a formula tree: str() gives its source text
+
+
+def indented_json(value) -> str:
+    """``json.dumps(_encoded(value), indent=2, allow_nan=False)``, byte for
+    byte, written without building the mapping: CPython's C encoder does not
+    indent, and its pure-Python fallback is the slower path.  Dict keys are
+    strings; a non-finite float raises json's ``ValueError``."""
+    chunks: list[str] = []
+    _write(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write(value, newline: str, emit: Callable[[str], None]) -> None:
+    """Emit ``value`` as indented JSON, its nested lines after ``newline``."""
+    kind = type(value)
+    if kind is str:
+        emit(encode_basestring_ascii(value))
+    elif kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        emit(float.__repr__(value))
+    elif kind is int:
+        emit(int.__repr__(value))
+    elif value is None:
+        emit("null")
+    elif kind is bool:
+        emit("true" if value else "false")
+    elif isinstance(value, JsonRecord):
+        heads = value._json_heads(newline)
+        if heads is None:
+            _write(value.as_mapping(), newline, emit)
+        elif heads:
+            inner = newline + "  "
+            for attr, head in heads:
+                emit(head)
+                _write(getattr(value, attr), inner, emit)
+            emit(newline + "}")
+        else:
+            emit("{}")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{"
+        for key, item in value.items():
+            emit(separator + inner + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, emit)
+            separator = ","
+        emit(newline + "}")
+    elif isinstance(value, (tuple, list)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "["
+        for item in value:
+            emit(separator + inner)
+            _write(item, inner, emit)
+            separator = ","
+        emit(newline + "]")
+    elif isinstance(value, Enum):
+        _write(value.value, newline, emit)
+    else:
+        emit(encode_basestring_ascii(str(value)))  # a formula tree: its source text
 
 
 #: Errors meaning "the requested machine cannot be built", as opposed to a

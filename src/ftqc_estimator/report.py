@@ -12,12 +12,11 @@ The assumed error budget is an :class:`ErrorBudget`, the record a job's
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .counts import LogicalCounts
-from .errors import ConfigError, InvalidPartitionError, JsonRecord, read_number
+from .errors import ConfigError, InvalidPartitionError, JsonRecord, indented_json, read_number
 from .qec import LogicalQubitProfile, PhysicalQubitParams
 from .tfactory import TFactoryPlan
 
@@ -109,4 +108,4 @@ class EstimateReport(JsonRecord):
 
     def to_json(self) -> str:
         """Serialize deterministically: same report, same bytes."""
-        return json.dumps(self.as_mapping(), indent=2, allow_nan=False)
+        return indented_json(self)
