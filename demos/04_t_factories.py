@@ -31,7 +31,7 @@ plan = search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, maj, maj.t_gate_error_r
 print(f"\ntarget per T state: {target:.3e}")
 for k, r in enumerate(plan.rounds, start=1):
     print(
-        f"round {k}: {r.num_parallel_units:3d} x {r.unit.name} at distance {r.code_distance}"
+        f"round {k}: {r.num_parallel_units:3d} x {r.unit_name} at distance {r.code_distance}"
     )
 print("output error:", f"{plan.output_error_rate:.3e}")
 print("qubits per copy:", plan.physical_qubits_per_copy)

@@ -106,9 +106,9 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
     for part in parents:
         node = node.get(part) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"job has no field at {dotted!r}")
+        raise ConfigError(f"job has no field at {_shown(repr(dotted))}")
     if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
-        raise ConfigError(f"field at {dotted!r} is not numeric")
+        raise ConfigError(f"field at {_shown(repr(dotted))} is not numeric")
     # keep integer-valued fields integral so counts stay valid
     node[leaf] = int(value) if isinstance(node[leaf], int) and value == int(value) else value
 

@@ -288,11 +288,8 @@ class JsonRecord:
     lists, dicts as objects, enums by value, formula trees by their source
     text (their ``str``); None, bool, int, float and str pass through.
     :func:`indented_json` writes the same JSON without building the
-    mapping.  :meth:`from_mapping` reads the same keys back, except on the
-    records written only (``FactoryRound``, ``TFactoryPlan``,
-    ``EstimateReport``): a round names its unit, and the unit's formulas
-    are not written.  A record whose JSON is not one key per field, or
-    whose decoding raises errors of its own, overrides them.
+    mapping, and :meth:`from_mapping` reads the same keys back.  A record
+    whose decoding raises errors of its own overrides :meth:`from_mapping`.
     """
 
     _RENAMED: dict[str, str] = {}
@@ -321,11 +318,9 @@ class JsonRecord:
 
     @classmethod
     @functools.cache
-    def _json_heads(cls, newline: str) -> Optional[tuple[tuple[str, str], ...]]:
+    def _json_heads(cls, newline: str) -> tuple[tuple[str, str], ...]:
         """(attribute, the text before its value) per field, for the record
-        written after ``newline``; None where :meth:`as_mapping` is overridden."""
-        if cls.as_mapping is not JsonRecord.as_mapping:
-            return None
+        written after ``newline``."""
         inner = newline + "  "
         return tuple(
             (attr, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
@@ -368,16 +363,18 @@ class JsonRecord:
 
 def _reader(hint) -> Callable:
     """The reader, called with (value, what), of a field annotated ``hint``:
-    ``Optional[X]`` reads as ``X``, a whole ``int`` and a finite ``float``
-    as numbers, a string enum by value, a record by its own
-    :meth:`~JsonRecord.from_mapping`, a formula from its source text, and
-    ``Union[scalar, X]`` as the record ``X`` if the value is an object."""
+    ``Optional[X]`` reads null as None and else as ``X``, a whole ``int``
+    and a finite ``float`` as numbers, a string enum by value, a record by
+    its own :meth:`~JsonRecord.from_mapping`, a formula from its source
+    text, and ``Union[scalar, X]`` as the record ``X`` if the value is an
+    object."""
     # looked up on the module when called, so a replaced parse_formula is
     # seen by the cached readers too; formulas imports this module
     from . import formulas
 
-    if get_origin(hint) is Union:  # Optional[X] reads as X
-        hint = Union[tuple(arg for arg in get_args(hint) if arg is not type(None))]
+    if get_origin(hint) is Union and type(None) in get_args(hint):
+        read = _reader(Union[tuple(arg for arg in get_args(hint) if arg is not type(None))])
+        return lambda value, what: None if value is None else read(value, what)
     if hint is float:
         return read_number
     if hint is int:
@@ -442,9 +439,7 @@ def _write(value, newline: str, emit: Callable[[str], None]) -> None:
         emit("true" if value else "false")
     elif isinstance(value, JsonRecord):
         heads = value._json_heads(newline)
-        if heads is None:
-            _write(value.as_mapping(), newline, emit)
-        elif heads:
+        if heads:
             inner = newline + "  "
             for attr, head in heads:
                 emit(head)

@@ -84,7 +84,9 @@ def list_profiles() -> list[HardwareProfile]:
     """All profiles in the active directory, in a stable order."""
     override = _override_dir()
     if override is not None:
-        if not override.is_dir():
-            raise ConfigError(f"{PROFILE_DIR_ENV} points at {override}, not a directory")
+        if not os.path.isdir(override):  # False, not OSError, for a name the OS rejects
+            raise ConfigError(
+                f"{PROFILE_DIR_ENV} points at {_shown(str(override))}, not a directory"
+            )
         return [_load_file(p) for p in sorted(override.glob("*.json"))]
     return [load_profile(name) for name in BUILTIN_PROFILE_NAMES]

@@ -122,18 +122,11 @@ DEFAULT_15_TO_1 = DistillationUnit.from_strings(
 
 @dataclass(frozen=True)
 class FactoryRound(JsonRecord):
-    """A round of a chain; written only, as ``unitName``, not the unit's formulas."""
+    """A round of a chain: its unit, by name, at a code distance and width."""
 
-    unit: DistillationUnit
+    unit_name: str
     code_distance: int
     num_parallel_units: int
-
-    def as_mapping(self) -> dict:
-        return {
-            "unitName": self.unit.name,
-            "codeDistance": self.code_distance,
-            "numParallelUnits": self.num_parallel_units,
-        }
 
 
 @dataclass(frozen=True)
@@ -342,7 +335,7 @@ def search_pipeline(
             best_key = key
             best_plan = TFactoryPlan(
                 rounds=tuple(
-                    FactoryRound(unit=unit, code_distance=d, num_parallel_units=m)
+                    FactoryRound(unit.name, d, m)
                     for m, (unit, _, _), (_, _, d) in zip(parallel, chain, picks)
                 ),
                 output_error_rate=output_error,

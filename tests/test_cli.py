@@ -1057,6 +1057,20 @@ class TestUsage:
         assert_config_error(code, out, err, fragment)
         assert len(err.encode()) < 1000
 
+    @pytest.mark.parametrize(
+        "value, fragment",
+        [(None, "job has no field at"), ("surface_code", "is not numeric")],
+        ids=["no-field", "not-numeric"],
+    )
+    def test_long_param_is_echoed_short(self, tmp_path, capsys, value, fragment):
+        # the path is read before the job is checked, so a long key may name it
+        param = "x" * 6001
+        fields = {} if value is None else {param: value}
+        job = str(write_job(tmp_path, **fields))
+        code, out, err = run(capsys, "sweep", "--job", job, "--param", param, "--values", "1")
+        assert_config_error(code, out, err, fragment)
+        assert len(err.encode()) < 1000
+
 
 class TestOneProcessManyCommands:
     """The parser is built once per process and reused; every command still

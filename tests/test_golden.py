@@ -18,9 +18,11 @@ from pathlib import Path
 import pytest
 
 from ftqc_estimator import cli
+from ftqc_estimator.errors import ConfigError
 from ftqc_estimator.jobs import job_from_mapping, run_job
 from ftqc_estimator.pipeline import ErrorBudget
 from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE
+from ftqc_estimator.report import EstimateReport
 from ftqc_estimator.tfactory import DEFAULT_15_TO_1
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -118,6 +120,20 @@ def test_assumed_budget_fed_back_as_the_job_budget_gives_the_same_report(name):
     document["errorBudget"] = report.as_mapping()["assumedErrorBudget"]
     again = run_job(job_from_mapping(document, GOLDEN))
     assert type(again.assumed_error_budget) is ErrorBudget
+    assert again.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("name", SUCCEEDING)
+def test_report_reads_back_as_an_equal_report(name):
+    report = run_job(job_from_mapping(json.loads((GOLDEN / f"{name}.json").read_text()), GOLDEN))
+    if name == "frontier_t_free":
+        # a job with no T states has no rounds, and a tuple field reads a
+        # non-empty list
+        with pytest.raises(ConfigError, match="rounds must be a non-empty list$"):
+            EstimateReport.from_mapping(report.as_mapping())
+        return
+    again = EstimateReport.from_mapping(report.as_mapping())
+    assert again == report
     assert again.to_json() == report.to_json()
 
 

@@ -88,7 +88,7 @@ _scalars = st.one_of(
     st.sampled_from([*Applicability, *InstructionSet]),
     st.sampled_from(["2 * x", "ceil(log2(1 / e)) ^ 2"]).map(parse_formula),
     st.just(Empty()),
-    st.integers(min_value=1, max_value=51).map(lambda d: FactoryRound(DEFAULT_15_TO_1, d, 2)),
+    st.integers(min_value=1, max_value=51).map(lambda d: FactoryRound(DEFAULT_15_TO_1.name, d, 2)),
 )
 _values = st.recursive(
     _scalars,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ftqc_estimator import profiles
+from ftqc_estimator import cli, profiles
 from ftqc_estimator.errors import ConfigError
 from ftqc_estimator.profiles import PROFILE_DIR_ENV, load_profile
 
@@ -82,3 +82,19 @@ def test_switching_the_profile_dir_switches_directories(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="unknown hardware profile"):
         load_profile("lab")
     assert load_profile("qubit_gate_ns_e3").name == "qubit_gate_ns_e3"
+
+
+@pytest.mark.parametrize("kind", ["name-too-long", "a-file"])
+def test_a_bad_profile_dir_exits_2_with_a_short_echo(tmp_path, monkeypatch, capsys, kind):
+    if kind == "a-file":
+        path = tmp_path / ("x" * 200)
+        path.write_text("")
+    else:
+        path = tmp_path / ("x" * 5000)  # the OS rejects the name
+    monkeypatch.setenv(PROFILE_DIR_ENV, str(path))
+    assert cli.main(["profiles"]) == 2
+    err = capsys.readouterr().err
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].endswith("..., not a directory")
+    assert len(err.encode()) < 1000

@@ -182,7 +182,7 @@ class TestSearchPipeline:
         plan = search_pipeline(
             (huge, DEFAULT_15_TO_1), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
         )
-        assert {r.unit.name for r in plan.rounds} == {"15-to-1"}
+        assert {r.unit_name for r in plan.rounds} == {"15-to-1"}
 
     def test_duration_includes_expected_retries(self):
         plan = search_pipeline(
@@ -325,7 +325,7 @@ def oracle_search(units, scheme, params, input_error, required_error, max_rounds
 
 
 def chosen_rounds(plan):
-    return [(r.unit.name, r.code_distance) for r in plan.rounds]
+    return [(r.unit_name, r.code_distance) for r in plan.rounds]
 
 
 @pytest.fixture
