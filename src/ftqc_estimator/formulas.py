@@ -18,13 +18,20 @@ of them, so ``-2 ^ 2`` is ``(-2) ^ 2``.  Identifiers match
 scientific notation.  The only recognized functions are ``ceil``,
 ``floor``, ``log2``, and ``sqrt``.
 
-Trees are immutable after parsing.  :func:`evaluate` compiles a tree on
-its first evaluation into nested closures, one per node, and keeps them on
-the tree's nodes; later evaluations only call them.  The tree itself stays
-for :func:`to_source` and :func:`variables`, and the kept closures take no
-part in ``==``, ``hash``, ``repr`` or pickling.  Trees can be shared across
-threads: two threads that evaluate a tree for the first time at once may
-both compile it, a benign race in which each gets an equivalent closure.
+Trees are immutable after parsing, and :func:`parse_formula` keeps each
+tree it builds under its source text, so a repeated formula is parsed
+once.  :func:`evaluate` compiles a tree on its first evaluation into one
+generated straight-line function, a statement per node, and keeps it on
+the tree's root; later evaluations only call it.  Trees of the same shape
+share the compiled code, because every constant is passed in as an
+argument.  The tree itself stays for :func:`to_source` and
+:func:`variables`, and the kept function takes no part in ``==``,
+``hash``, ``repr`` or pickling.  Trees and both caches can be shared
+across threads without a lock, because an entry is only ever replaced by
+an equal one: two threads that parse one text, compile one shape or
+evaluate a new tree at once may both do the work, each keeping an
+equivalent result, and a cache that fills while several threads add to
+it may hold one entry per thread beyond its bound until it is cleared.
 """
 
 from __future__ import annotations
@@ -87,8 +94,8 @@ DISTILLATION_VARIABLES = QEC_SCHEME_VARIABLES | frozenset(
 
 class _Node:
     """Base of the tree nodes.  ``str`` gives a node's source text.  A
-    node evaluated once keeps its compiled closure (see :func:`evaluate`)
-    as an attribute outside its fields; pickling leaves it out."""
+    tree evaluated once keeps its compiled function (see :func:`evaluate`)
+    on its root, as an attribute outside its fields; pickling leaves it out."""
 
     def __str__(self) -> str:
         return to_source(self)
@@ -257,17 +264,34 @@ class _Parser:
         raise FormulaSyntaxError(tok.position, "a number, variable, function call, or '('")
 
 
+# Parsed trees by source text, so that a formula repeated across jobs or
+# requests is lexed, parsed and compiled once.  Cleared when full.  A text
+# longer than _MAX_CACHED_CHARS is parsed on every call instead, so that
+# no input can keep a huge (say whitespace-padded) string alive here.
+_PARSED: dict[str, FormulaExpr] = {}
+_MAX_PARSED = 1024
+_MAX_CACHED_CHARS = 1024
+
+
 def parse_formula(source: str) -> FormulaExpr:
     """Parse a formula string into an expression tree.
 
     Raises :class:`FormulaSyntaxError` (with the character position of the
     problem) for malformed input, including a formula of more than 256
     tokens, and :class:`UnknownFunctionError` for a call to an unrecognized
-    function.
+    function.  A text parsed before returns the tree it gave then; one that
+    failed fails again, the same way.
     """
     if not isinstance(source, str):
         raise FormulaSyntaxError(0, f"a formula string, got {source!r}")
-    return _Parser(source).parse()
+    tree = _PARSED.get(source)
+    if tree is None:
+        tree = _Parser(source).parse()
+        if len(source) <= _MAX_CACHED_CHARS:
+            if len(_PARSED) >= _MAX_PARSED:
+                _PARSED.clear()
+            _PARSED[source] = tree
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -328,140 +352,139 @@ def variables(expr: FormulaExpr) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: each node compiles to a closure over its children's closures
+# evaluation: each tree compiles to one straight-line function
 
 _Run = Callable[[Mapping[str, float]], float]
 
+# The statements that compute one node, %-formatted: %(v)s names the
+# node's value, %(x)s and %(y)s its operands' values (left before right),
+# and %(a)s an argument of the generated function.  Each makes the checks
+# of a walk over the tree, with their messages, in the walk's order.
+_NOT_A_NODE = "raise TypeError(f'not a formula node: {%(a)s!r}')"
+_VARIABLE = (
+    "try: %(v)s = float(env[%(a)s])\n"
+    "except KeyError: raise UnboundVariableError(%(a)s) from None\n"
+    "if not isfinite(%(v)s):"
+    " raise ValueError(f'variable {%(a)s!r} is bound to non-finite {%(v)s!r}')"
+)
+_NEG = "%(v)s = -%(x)s"
+_FUNCTION_STATEMENTS = {
+    "ceil": "if not isfinite(%(x)s):"
+    " raise FormulaDomainError(f'ceil of non-finite value {%(x)s!r}')\n"
+    "%(v)s = float(ceil(%(x)s))",
+    "floor": "if not isfinite(%(x)s):"
+    " raise FormulaDomainError(f'floor of non-finite value {%(x)s!r}')\n"
+    "%(v)s = float(floor(%(x)s))",
+    "log2": "if %(x)s <= 0.0:"
+    " raise FormulaDomainError(f'log2 of non-positive value {%(x)s:g}')\n"
+    "%(v)s = log2(%(x)s)",
+    "sqrt": "if %(x)s < 0.0: raise FormulaDomainError(f'sqrt of negative value {%(x)s:g}')\n"
+    "%(v)s = sqrt(%(x)s)",
+}
+_UNKNOWN_FUNCTION = "raise UnknownFunctionError(%(a)s)"
+_OPERATOR_STATEMENTS = {
+    "+": "%(v)s = %(x)s + %(y)s",
+    "-": "%(v)s = %(x)s - %(y)s",
+    "*": "%(v)s = %(x)s * %(y)s",
+    "/": "if %(y)s == 0.0: raise DivisionByZeroError(f'{%(x)s:g} / 0')\n"
+    "%(v)s = %(x)s / %(y)s",
+    "^": "if %(x)s < 0.0 and %(y)s != floor(%(y)s): raise FormulaDomainError("
+    "f'negative base {%(x)s:g} with non-integer exponent {%(y)s:g}')\n"
+    "if %(x)s == 0.0 and %(y)s < 0.0:"
+    " raise DivisionByZeroError('zero raised to a negative power')\n"
+    "try: %(v)s = %(x)s ** %(y)s\n"
+    "except OverflowError as exc:"
+    " raise FormulaDomainError(f'{%(x)s:g} ^ {%(y)s:g} overflows') from exc",
+}
 
-def _power(base: float, exponent: float) -> float:
-    if base < 0.0 and exponent != math.floor(exponent):
-        raise FormulaDomainError(
-            f"negative base {base:g} with non-integer exponent {exponent:g}"
-        )
-    if base == 0.0 and exponent < 0.0:
-        raise DivisionByZeroError("zero raised to a negative power")
-    try:
-        return base**exponent
-    except OverflowError as exc:
-        raise FormulaDomainError(f"{base:g} ^ {exponent:g} overflows") from exc
+# What the generated functions read besides their arguments.
+_GLOBALS = {
+    "isfinite": isfinite,
+    "ceil": math.ceil,
+    "floor": math.floor,
+    "log2": log2,
+    "sqrt": sqrt,
+    "DivisionByZeroError": DivisionByZeroError,
+    "FormulaDomainError": FormulaDomainError,
+    "UnboundVariableError": UnboundVariableError,
+    "UnknownFunctionError": UnknownFunctionError,
+}
 
-
-def _variable(name) -> _Run:
-    def run(env):
-        try:
-            value = float(env[name])
-        except KeyError:
-            raise UnboundVariableError(name) from None
-        if not isfinite(value):
-            raise ValueError(f"variable {name!r} is bound to non-finite {value!r}")
-        return value
-
-    return run
-
-
-def _call(func: str, arg) -> _Run:
-    if func in ("ceil", "floor"):
-        round_ = math.ceil if func == "ceil" else math.floor
-
-        def run(env):
-            x = arg(env)
-            if not isfinite(x):
-                raise FormulaDomainError(f"{func} of non-finite value {x!r}")
-            return float(round_(x))
-
-    elif func == "log2":
-
-        def run(env):
-            x = arg(env)
-            if x <= 0.0:
-                raise FormulaDomainError(f"log2 of non-positive value {x:g}")
-            return log2(x)
-
-    elif func == "sqrt":
-
-        def run(env):
-            x = arg(env)
-            if x < 0.0:
-                raise FormulaDomainError(f"sqrt of negative value {x:g}")
-            return sqrt(x)
-
-    else:
-
-        def run(env):
-            arg(env)
-            raise UnknownFunctionError(func)
-
-    return run
+# Compiled makers by generated source: one per tree shape, since every
+# constant is an argument.  Cleared when full.
+_MAKERS: dict[str, Callable[..., _Run]] = {}
+_MAX_MAKERS = 256
 
 
-def _binop(expr: BinOp, left, right) -> _Run:
-    op = expr.op
-    if op == "+":
-        return lambda env: left(env) + right(env)
-    if op == "-":
-        return lambda env: left(env) - right(env)
-    if op == "*":
-        return lambda env: left(env) * right(env)
-    if op == "/":
+def _compile(expr: FormulaExpr) -> _Run:
+    """The function that evaluates ``expr``: one statement per node, in the
+    order a walk over the tree reaches them, with each number, variable
+    name, unknown function name and malformed node passed in as an
+    argument of the shape's compiled maker, so no text of the tree enters
+    the generated source."""
+    statements: list[str] = []
+    args: list = []
 
-        def run(env):
-            x = left(env)
-            y = right(env)
-            if y == 0.0:
-                raise DivisionByZeroError(f"{x:g} / 0")
-            return x / y
+    def arg(value) -> str:
+        args.append(value)
+        return f"a{len(args) - 1}"
 
-        return run
-    if op == "^":
-        return lambda env: _power(left(env), right(env))
+    def emit(node) -> str:
+        """Add ``node``'s statements; return the name of its value."""
+        if isinstance(node, Number):
+            return arg(node.value)
+        if isinstance(node, Variable):
+            statement, fields = _VARIABLE, {"a": arg(node.name)}
+        elif isinstance(node, Neg):
+            statement, fields = _NEG, {"x": emit(node.operand)}
+        elif isinstance(node, Call):
+            fields = {"x": emit(node.arg)}
+            statement = isinstance(node.func, str) and _FUNCTION_STATEMENTS.get(node.func)
+            if not statement:
+                statement, fields = _UNKNOWN_FUNCTION, {"a": arg(node.func)}
+        elif isinstance(node, BinOp):
+            fields = {"x": emit(node.left), "y": emit(node.right)}
+            statement = isinstance(node.op, str) and _OPERATOR_STATEMENTS.get(node.op)
+            if not statement:
+                statement, fields = _NOT_A_NODE, {"a": arg(node)}
+        else:
+            statement, fields = _NOT_A_NODE, {"a": arg(node)}
+        fields["v"] = f"v{len(statements)}"
+        statements.append(statement % fields)
+        return fields["v"]
 
-    def run(env):
-        left(env)
-        right(env)
-        raise TypeError(f"not a formula node: {expr!r}")
-
-    return run
-
-
-def _compiled(expr: FormulaExpr) -> _Run:
-    """The closure that evaluates ``expr``, built on first use and kept on
-    the node (outside its fields, so out of ``==``, ``hash`` and ``repr``)."""
-    run = getattr(expr, "_run", None)
-    if run is not None:
-        return run
-    if isinstance(expr, Number):
-        value = expr.value
-        run = lambda env: value
-    elif isinstance(expr, Variable):
-        run = _variable(expr.name)
-    elif isinstance(expr, Neg):
-        operand = _compiled(expr.operand)
-        run = lambda env: -operand(env)
-    elif isinstance(expr, Call):
-        run = _call(expr.func, _compiled(expr.arg))
-    elif isinstance(expr, BinOp):
-        run = _binop(expr, _compiled(expr.left), _compiled(expr.right))
-    else:
-
-        def run(env):
-            raise TypeError(f"not a formula node: {expr!r}")
-
-        return run
-    object.__setattr__(expr, "_run", run)
-    return run
+    result = emit(expr)
+    body = "".join(f"{statement}\n" for statement in statements).replace("\n", "\n        ")
+    source = (
+        f"def make({', '.join(f'a{i}' for i in range(len(args)))}):\n"
+        f"    def run(env):\n        {body}return {result}\n"
+        "    return run\n"
+    )
+    make = _MAKERS.get(source)
+    if make is None:
+        namespace: dict = {}
+        exec(compile(source, "<formula>", "exec"), _GLOBALS, namespace)
+        make = namespace["make"]
+        if len(_MAKERS) >= _MAX_MAKERS:
+            _MAKERS.clear()
+        _MAKERS[source] = make
+    return make(*args)
 
 
 def evaluate(expr: FormulaExpr, env: Mapping[str, float]) -> float:
     """Evaluate a tree against named-variable bindings.
 
     All bound values must be finite.  Evaluation is deterministic: the same
-    tree and environment always produce the bit-identical result.  Each
-    node runs the same float operations and domain checks in the same
-    order as a walk over the tree, left operand before right, so results
-    and errors do not depend on whether the tree was compiled before.
+    tree and environment always produce the bit-identical result.  The
+    compiled function runs the same float operations and domain checks in
+    the same order as a walk over the tree, left operand before right, so
+    results and errors do not depend on whether the tree was compiled
+    before or shares its shape with another.
     """
     try:
         run = expr._run
     except AttributeError:
-        run = _compiled(expr)
+        run = _compile(expr)
+        if isinstance(expr, _Node):
+            object.__setattr__(expr, "_run", run)
     return run(env)

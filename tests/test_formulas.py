@@ -6,6 +6,8 @@ import pickle
 import random
 import re
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,39 @@ class TestParsing:
         assert parse("a_1B") == Variable("a_1B")
         with pytest.raises(FormulaSyntaxError):
             parse("_hidden")
+
+
+class TestParseCache:
+    def test_a_repeated_text_returns_an_equal_tree(self):
+        source = "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance"
+        first = parse(source)
+        assert parse(source) == first == formulas._Parser(source).parse()
+        assert formulas._PARSED[source] is first
+
+    @pytest.mark.parametrize("source", ["2 ** d", "sin(1)", "(1 + 2", "1e999", "x +" * 200])
+    def test_a_bad_text_fails_the_same_way_on_every_call(self, source):
+        outcomes = [parse_outcome(formulas.parse_formula, source) for _ in range(3)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == parse_outcome(lambda s: ReferenceParser(s).parse(), source)
+        assert source not in formulas._PARSED
+
+    def test_an_overlong_text_parses_but_is_not_kept(self):
+        padding = " " * 1_000_000
+        source = padding + "11 * logicalCycleTime" + padding  # 2 MB
+        tree = parse(source)
+        assert tree == BinOp("*", Number(11.0), Variable("logicalCycleTime"))
+        assert source not in formulas._PARSED
+        limit = formulas._MAX_CACHED_CHARS
+        longest = "x".ljust(limit)
+        parse(longest)
+        parse(longest + " ")
+        assert longest in formulas._PARSED and longest + " " not in formulas._PARSED
+
+    def test_the_cache_never_exceeds_its_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_PARSED", {})
+        for i in range(2 * formulas._MAX_PARSED + 10):
+            assert parse(f"x + {i}") == BinOp("+", Variable("x"), Number(float(i)))
+            assert 1 <= len(formulas._PARSED) <= formulas._MAX_PARSED
 
 
 class TestEvaluation:
@@ -337,7 +372,7 @@ def test_serialization_preserves_value(source):
 
 def tree_walk_eval(expr, env):
     """The engine's former evaluator, a recursive walk over the tree: the
-    reference the compiled closures must match bit for bit, errors included."""
+    reference the compiled functions must match bit for bit, errors included."""
     if isinstance(expr, Number):
         return expr.value
     if isinstance(expr, Variable):
@@ -408,7 +443,7 @@ def outcome(evaluate, expr, env):
 
 def assert_same_outcome(expr, env):
     expected = outcome(tree_walk_eval, expr, env)
-    # twice: the first call compiles the tree, the second reuses its closure
+    # twice: the first call compiles the tree, the second reuses its function
     assert outcome(formulas.evaluate, expr, env) == expected
     assert outcome(formulas.evaluate, expr, env) == expected
     return expected[0]
@@ -474,6 +509,67 @@ def test_compiled_matches_tree_walk_on_parsed_sources(source, env):
 )
 def test_compiled_matches_tree_walk_on_hand_built_trees(tree):
     assert_same_outcome(tree, _ENV)
+    # a malformed tree, or a root that is no node, is generated code too
+    run = formulas._compile(tree)
+    assert run.__code__.co_filename == "<formula>"
+    assert outcome(lambda expr, env: run(env), tree, _ENV) == outcome(tree_walk_eval, tree, _ENV)
+
+
+def with_new_constants(node, rng: random.Random):
+    """A tree of ``node``'s shape with fresh numbers and variable names."""
+    if isinstance(node, Number):
+        finite = [value for value in _EDGE_VALUES if math.isfinite(value)]
+        return Number(rng.choice(finite) if rng.random() < 0.3 else rng.uniform(0.1, 10.0))
+    if isinstance(node, Variable):
+        return Variable(rng.choice(_VARERS + ("missing",)))
+    if isinstance(node, Neg):
+        return Neg(with_new_constants(node.operand, rng))
+    if isinstance(node, Call):
+        return Call(node.func, with_new_constants(node.arg, rng))
+    return BinOp(node.op, with_new_constants(node.left, rng), with_new_constants(node.right, rng))
+
+
+def test_trees_of_one_shape_share_code_and_keep_their_own_constants():
+    rng = random.Random(1919)
+    kinds = set()
+    for _ in range(300):
+        shape = random_tree(rng, rng.randint(1, 5))
+        siblings = [shape] + [with_new_constants(shape, rng) for _ in range(3)]
+        # interleaved: each tree runs between runs of its siblings
+        for env in (_ENV, random_env(rng), random_env(rng)):
+            for tree in siblings:
+                kinds.add(assert_same_outcome(tree, env))
+        assert len({tree._run.__code__ for tree in siblings}) == 1
+    assert {float, UnboundVariableError, DivisionByZeroError, FormulaDomainError} <= kinds
+
+
+def test_threads_sharing_the_caches_get_the_tree_walk_results():
+    rng = random.Random(2718)
+    sources = [formulas.to_source(random_tree(rng, rng.randint(1, 4))) for _ in range(150)]
+    expected = [outcome(tree_walk_eval, formulas._Parser(s).parse(), _ENV) for s in sources]
+    failures = []
+
+    def work(offset):
+        for i in range(len(sources)):
+            k = (i + offset) % len(sources)
+            if outcome(formulas.evaluate, parse(sources[k]), _ENV) != expected[k]:
+                failures.append(sources[k])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            formulas._PARSED.clear()
+            formulas._MAKERS.clear()
+            threads = [threading.Thread(target=work, args=(37 * n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert failures == []
 
 
 def test_an_evaluated_tree_equals_and_hashes_like_a_fresh_parse():
@@ -481,11 +577,12 @@ def test_an_evaluated_tree_equals_and_hashes_like_a_fresh_parse():
     env = {"twoQubitGateTime": 50.0, "oneQubitMeasurementTime": 100.0, "codeDistance": 9.0}
     tree = parse(source)
     formulas.evaluate(tree, env)
-    fresh = parse(source)
+    fresh = formulas._Parser(source).parse()  # built anew, not the kept tree
+    assert fresh is not tree and not hasattr(fresh, "_run")
     assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
     assert formulas.to_source(tree) == formulas.to_source(fresh)
     assert formulas.variables(tree) == formulas.variables(fresh)
-    # pickling leaves the compiled closure behind; the copy evaluates alike
+    # pickling leaves the compiled function behind; the copy evaluates alike
     copy = pickle.loads(pickle.dumps(tree))
     assert copy == tree and formulas.evaluate(copy, env) == formulas.evaluate(tree, env)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ftqc_estimator import cli
+from ftqc_estimator import cli, formulas
 from ftqc_estimator.errors import ConfigError
 from ftqc_estimator.jobs import job_from_mapping, run_job
 from ftqc_estimator.pipeline import ErrorBudget
@@ -89,6 +89,41 @@ def test_output_is_byte_identical(name, monkeypatch):
     monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)  # the built-in profiles
     expected = json.loads((GOLDEN / "expected" / f"{name}.json").read_text())
     assert run_case(name) == expected
+
+
+def test_every_case_repeats_its_bytes_with_warm_formula_caches(monkeypatch):
+    # the first pass fills empty parse and shape caches, the second reads them
+    monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
+    monkeypatch.setattr(formulas, "_PARSED", {})
+    monkeypatch.setattr(formulas, "_MAKERS", {})
+    expected = {
+        name: json.loads((GOLDEN / "expected" / f"{name}.json").read_text()) for name in CASES
+    }
+    for _ in range(2):
+        for name in sorted(CASES):
+            assert run_case(name) == expected[name], name
+    assert formulas._PARSED and formulas._MAKERS
+
+
+def test_a_sweep_over_inline_units_writes_the_rows_of_separate_runs(tmp_path, monkeypatch):
+    job = str(GOLDEN / "distance_dependent_units.json")
+    values = ["0.01", "0.0001", "1e-06", "1e-08"]
+
+    def sweep(values, out):
+        argv = ["sweep", "--job", job, "--param", "errorBudget", "--values", ",".join(values)]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    together = sweep(values, tmp_path / "together.csv")
+    separate = []
+    for i, value in enumerate(values):
+        # each run parses and compiles its formulas afresh
+        monkeypatch.setattr(formulas, "_PARSED", {})
+        monkeypatch.setattr(formulas, "_MAKERS", {})
+        header, row = sweep([value], tmp_path / f"row{i}.csv")
+        separate.append(row)
+    assert together == [header, *separate]
+    assert all(row.endswith(",") for row in separate)  # every row succeeds
 
 
 # the golden jobs whose estimate succeeds
