@@ -5,9 +5,12 @@ Counting a gate-event trace
 A quantum program arrives as a flat stream of allocation, gate, and
 measurement events.  Counting it yields the circuit width and the
 pre-layout logical resource tallies, including the rotation depth.
+A trace file holds one JSON record per line; ``read_trace`` streams it.
 """
 
-from ftqc_estimator import LogicalCounts, TraceEvent, count_trace
+import json
+
+from ftqc_estimator import LogicalCounts, TraceEvent, count_trace, read_trace
 
 # a small program on three qubits
 trace = [
@@ -30,6 +33,15 @@ print("rotations:", counts.rotation_count)
 print("rotation depth:", counts.rotation_depth)
 print("CCZ gates:", counts.ccz_count)
 print("measurements:", counts.measurement_count)
+
+# the same program as a trace file, one JSON record per line; counting a
+# fresh reader counts the file's lines as they are read
+with open("demo_trace.jsonl", "w") as out:
+    for event in trace:
+        out.write(json.dumps({"op": event.op, "q": list(event.qubits)}) + "\n")
+from_file = count_trace(read_trace("demo_trace.jsonl"))
+assert from_file == counts
+print("counted from demo_trace.jsonl:", from_file == counts)
 
 # programs with known tallies can skip the trace entirely
 direct = LogicalCounts.from_mapping(

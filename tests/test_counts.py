@@ -1,5 +1,6 @@
 """Trace counting: width, tallies, rotation layering, and trace errors."""
 
+import gc
 import json
 import random
 import tracemalloc
@@ -526,3 +527,182 @@ def test_disjoint_permutation_invariance(seed, data):
     assert interleaved.ccix_count == separate.ccix_count
     assert interleaved.measurement_count == separate.measurement_count
     assert interleaved.rotation_depth == separate.rotation_depth
+
+
+# ---------------------------------------------------------------------------
+# counting a reader straight from its file's lines
+
+
+def spelled(rng, op, qubits):
+    """One record of ``op`` on ``qubits`` in a spelling drawn from ``rng``:
+    either canonical spelling, a non-canonical one, or padded with blanks."""
+    line = json.dumps({"op": op, "q": qubits}, separators=rng.choice(((", ", ": "), (",", ":"))))
+    roll = rng.random()
+    if roll < 0.1:
+        return line.replace(":", " :", 1)
+    if roll < 0.2:
+        return rng.choice((" ", "\t", "  ")) + line + rng.choice(("", " ", "\t"))
+    return line
+
+
+FAULTS = {
+    "bad json": lambda rng: '{"op": "t", "q": [1}',
+    "zero-led id": lambda rng: rng.choice(('{"op": "t", "q": [01]}', '{"op":"ccz","q":[0,007,1]}')),
+    "long id": lambda rng: '{"op":"t","q":[%s]}' % ("9" * rng.choice((19, 5000))),
+    "unallocated": lambda rng: '{"op": "rz", "q": [999]}',
+    "double alloc": lambda rng: '{"op":"alloc","q":[0]}',
+    "repeated ccz id": lambda rng: '{"op": "ccz", "q": [0, 1, 0]}',
+    "ccz on one id": lambda rng: '{"op":"ccz","q":[3]}',
+    "clifford on three ids": lambda rng: '{"op":"clifford","q":[0,1,2]}',
+    "t on two ids": lambda rng: '{"op": "t", "q": [0, 1]}',
+}
+
+
+def write_random_trace(path, seed, faults, undecodable):
+    """A random trace file from ``seed``, with ``faults`` (names in FAULTS)
+    put in at random lines and, if ``undecodable``, one byte that is not
+    UTF-8.  Lines end in any of four breaks, and some lines are blank."""
+    rng = random.Random(seed)
+    lines = [spelled(rng, e.op, list(e.qubits)) for e in random_trace(rng, max_events=40)]
+    for fault in faults:
+        lines.insert(rng.randint(0, len(lines)), FAULTS[fault](rng))
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", "  ", "\t")))
+    data = b"".join(
+        line.encode("utf-8") + rng.choice(("\n", "\r\n", "\r", "\u2028")).encode("utf-8")
+        for line in lines
+    )
+    if undecodable:
+        at = rng.randint(0, len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    path.write_bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(st.sampled_from(sorted(FAULTS)), max_size=3).filter(
+        lambda names: names.count("bad json") <= 1
+    ),
+    undecodable=st.booleans(),
+)
+def test_counting_a_reader_counts_as_the_whole_file_oracle(tmp_path_factory, seed, faults, undecodable):
+    path = tmp_path_factory.getbasetemp() / "differential.jsonl"
+    write_random_trace(path, seed, faults, undecodable)
+    expected = outcome(lambda: count_trace(oracle_read(path)))
+    for block in (1, 7, 1 << 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counts, "_BLOCK_SIZE", block)
+            assert outcome(lambda: count_trace(read_trace(path))) == expected
+            # the event path, which a started reader takes, agrees too
+            assert outcome(lambda: count_trace(e for e in read_trace(path))) == expected
+
+
+READER_TRACE = [
+    '{"op": "alloc", "q": [9]}',
+    '{"op":"alloc","q":[0,1,2]}',
+    '{"op": "t", "q": [0]}',
+    '{"op": "rz", "q": [1]}',
+    '{"op":"ccz","q":[0,1,2]}',
+    '{"op": "release", "q": [0]}',
+]
+
+
+class TestReaderStates:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(READER_TRACE) + "\n")
+        return path
+
+    def test_a_started_reader_counts_the_remaining_events(self, path):
+        reader = read_trace(path)
+        assert next(reader) == ev("alloc", 9)
+        rest = count_trace(reader)
+        assert rest == count_trace(list(read_trace(path))[1:])
+        assert rest.num_qubits == 3 and count_trace(read_trace(path)).num_qubits == 4
+        assert list(reader) == []
+
+    def test_a_counted_reader_reads_as_empty(self, path):
+        reader = read_trace(path)
+        assert count_trace(reader) == LogicalCounts(
+            num_qubits=4, t_count=1, rotation_count=1, rotation_depth=1, ccz_count=1
+        )
+        assert list(reader) == []
+        assert count_trace(reader) == LogicalCounts()
+
+    def test_a_reader_whose_count_failed_reads_as_empty(self, path):
+        path.write_text('{"op":"t","q":[0]}\n')
+        reader = read_trace(path)
+        with pytest.raises(UseAfterReleaseError):
+            count_trace(reader)
+        assert list(reader) == []
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ('{"op":"alloc","q":[0]}\n{"op":"t","q":[0]}\n', None),
+            ('{"op":"t","q":[0]}\n{"op":"t","q":[1]}\n', UseAfterReleaseError),
+            ('{"op":"alloc","q":[0]}\n{"op": bad}\n', TraceFormatError),
+            ('{"op":"alloc","q":[0]}\n{"op":"t","q":[0]}\n\udcff\n', ConfigError),
+        ],
+        ids=["counted", "count error", "parse error", "undecodable"],
+    )
+    def test_the_file_is_closed_after_a_count(self, tmp_path, monkeypatch, data, error):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(data.encode("utf-8", "surrogateescape"))
+        opened = []
+        real_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            opened.append(real_open(self, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        monkeypatch.setattr(counts, "_BLOCK_SIZE", 4)
+        if error is None:
+            count_trace(read_trace(path))
+        else:
+            with pytest.raises(error):
+                count_trace(read_trace(path))
+        assert opened and all(stream.closed for stream in opened)
+        gc.collect()
+
+
+NOT_EVENTS = [
+    (['{"op":"alloc","q":[0]}', '{"op":"t","q":[0]}'],
+     ("error", "ValueError", "too many values to unpack (expected 2)")),
+    (["ab"], ("error", "TraceFormatError", "unknown trace op 'a' at event 0")),
+    (["t0"], ("error", "TypeError", "'<' not supported between instances of 'str' and 'int'")),
+    ([("alloc", (0,), "x")], ("error", "ValueError", "too many values to unpack (expected 2)")),
+    ([(5, (0,))], ("error", "TraceFormatError", "unknown trace op 5 at event 0")),
+    ([(None, ())], ("error", "TraceFormatError", "unknown trace op None at event 0")),
+    ([(["t"], (0,))], ("error", "TypeError", "unhashable type: 'list'")),
+]
+
+
+@pytest.mark.parametrize("items, expected", NOT_EVENTS, ids=short)
+def test_items_that_are_not_events_fail_as_before(items, expected):
+    # a string handed to count_trace is never parsed as a trace line
+    assert outcome(lambda: count_trace(items)) == expected
+    assert outcome(lambda: count_trace(iter(items))) == expected
+
+
+def test_plain_pairs_count_as_events():
+    pairs = [("alloc", (0, 1, 2)), ("t", [0]), ("rz", (1,)), ("ccz", [0, 1, 2]), ("clifford", (0, 1))]
+    assert count_trace(pairs) == count_trace([ev(op, *qubits) for op, qubits in pairs])
+    with pytest.raises(ArityMismatchError, match="event 1: t takes exactly 1 qubit, got 2"):
+        count_trace([("alloc", (0, 1)), ("t", (0, 1))])
+
+
+def test_a_reader_is_counted_without_building_events(tmp_path, monkeypatch):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(READER_TRACE) + "\n")
+    expected = count_trace(list(read_trace(path)))
+
+    def refuse(*args):
+        raise AssertionError("an event was built")
+
+    monkeypatch.setattr(counts, "TraceEvent", refuse)
+    assert count_trace(read_trace(path)) == expected
