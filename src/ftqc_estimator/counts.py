@@ -11,27 +11,26 @@ event (``t``, ``rz``, ``ccz``, ``ccix``, ``measure``) lands in layer
 are transparent, and the depth is the number of distinct layers holding
 at least one ``rz``.
 
-Trace files are streamed: :func:`read_trace` returns a reader, a
-generator of events that reads the file in blocks, so memory does not
-grow with the trace, and callers that need a list call ``list()``.
-Records in the two spellings ``json.dumps`` writes are decoded without
-``json.loads``, to the events it would give.  :func:`count_trace` handed
-a reader from which no event has been taken counts the file's lines in
-one loop: a record in either spelling is decoded there to its op and
-ids, with no event built, and any other line goes through the decoder
-:func:`parse_trace_lines` uses, so the counts and the errors are those of
-counting the reader's events.
+Trace files are streamed: :func:`read_trace` returns a reader, an
+iterator of events that opens its file when the first event is taken and
+reads it in blocks, so memory does not grow with the trace; callers that
+need a list call ``list()``.  One decoder turns a file's lines into ops
+and qubit ids for the reader, for :func:`parse_trace_lines` and for the
+counting loop: records in the two spellings ``json.dumps`` writes are
+decoded there without ``json.loads``, to what it would give, and any
+other line goes through ``json.loads``.  :func:`count_trace` handed a
+reader from which no event has been taken counts the decoder's output
+straight from the file, with no event built, so the counts and the
+errors are those of counting the reader's events.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     ArityMismatchError,
@@ -61,6 +60,7 @@ EVENT_KINDS = frozenset(
 
 _SINGLE_QUBIT = frozenset({"t", "rz", "measure"})
 _THREE_QUBIT = frozenset({"ccz", "ccix"})
+_ONE_ID_OPS = EVENT_KINDS - _THREE_QUBIT
 
 #: Characters read from a trace file at a time.
 _BLOCK_SIZE = 1 << 16
@@ -152,7 +152,9 @@ class LogicalCounts(JsonRecord):
         return cls(**{attr: data[key] for key, attr in known.items() if key in data})
 
 
-def _check_arity(op: str, qubits: tuple, index: int) -> None:
+def _check_event(op: str, qubits: tuple, index: int) -> None:
+    if op not in EVENT_KINDS:
+        raise TraceFormatError(f"unknown trace op {_shown(repr(op))} at event {index}")
     n = len(qubits)
     if min(qubits, default=0) < 0:
         raise ArityMismatchError(index, f"{op} references a negative qubit id")
@@ -181,29 +183,29 @@ def count_trace(events: Iterable[TraceEvent]) -> LogicalCounts:
     permitted and continues the same logical wire.
 
     Given a :func:`read_trace` reader from which no event has been taken,
-    it counts the file's lines without building their events, with the
-    same result or error, and leaves the reader empty.
+    it counts what the decoder makes of the file's lines, with no event
+    built, to the same result or error, and leaves the reader empty.
     """
-    # an unstarted reader is read_trace's generator before its first step:
-    # no file is open yet, and its frame holds the path it was given
-    if getattr(events, "gi_code", None) is read_trace.__code__ and (
-        inspect.getgeneratorstate(events) == inspect.GEN_CREATED
-    ):
-        path = events.gi_frame.f_locals["path"]
-        events.close()
-        source, path = str(path), Path(path)
-        with _trace_lines(path) as lines:
-            return _count(lines, source)
-    return _count(iter(events))
+    if events.__class__ is _TraceReader and events._events is None:
+        events._events = iter(())  # a counted reader reads as empty
+        decoded = _decoded(_blocks(events.path), str(events.path))
+        return _count(decoded, decoded)
+    events = iter(events)
+    return _count(_event_items(events), events)
 
 
-def _count(items: Iterator, source: Optional[str] = None) -> LogicalCounts:
-    """The counting loop, over events, or over the lines of the trace file
-    named ``source``.
+def _event_items(events: Iterator) -> Iterator[tuple]:
+    """``(op, ids, checked)`` for each event, as :func:`_decoded` yields them."""
+    for op, qubits in events:
+        if op in _ONE_ID_OPS and len(qubits) == 1 and type(qubits[0]) is int and qubits[0] >= 0:
+            yield op, qubits[0], True
+        else:
+            yield op, qubits, False
 
-    A line spelled as one of ``_CANONICAL_HEADS`` is decoded here to its op
-    and ids, with no event built; any other goes through :func:`_decode`.
-    """
+
+def _count(items: Iterator[tuple], rest: Iterator) -> LogicalCounts:
+    """The counting loop over ``(op, ids, checked)`` items, as :func:`_decoded`
+    yields them; on a count error the rest of ``rest`` is taken first."""
     live: set[int] = set()
     peak = 0
     tallies = {"t": 0, "rz": 0, "ccz": 0, "ccix": 0, "measure": 0}
@@ -211,85 +213,49 @@ def _count(items: Iterator, source: Optional[str] = None) -> LogicalCounts:
     # rotation_layers[k] is 1 when layer k holds an rz: a byte per layer
     rotation_layers = bytearray()
     index = -1
-    line_number = 0
-    checked = False  # an event's ids are always checked
 
     try:
-        for item in items:
-            # ``one`` marks an item with one non-negative id, ``qubit``, and
-            # an op that takes one; any other item keeps its ids in
-            # ``qubits``, and ``checked`` marks those known to fit the op
-            if source is None:
-                index += 1
-                op, qubits = item
-                if op not in EVENT_KINDS:
-                    raise TraceFormatError(f"unknown trace op {_shown(repr(op))} at event {index}")
-                one = len(qubits) == 1 and not qubits[0] < 0 and op not in _THREE_QUBIT
-                if one:
-                    qubit = qubits[0]
-            else:
-                line_number += 1
-                line = item.strip()
-                if not line:
-                    continue
-                index += 1
-                one = checked = False
-                head, _, ids = line.partition("[")
-                spelling = _CANONICAL_HEADS.get(head)
-                if spelling is not None and ids.endswith("]}"):
-                    op, canonical_ids = spelling
-                    ids = ids[:-2]
-                    # one id, the common case, is checked without the regex
-                    if (ids.isdigit() and ids.isascii() and ids[0] != "0" and len(ids) < 19
-                            and op not in _THREE_QUBIT):
-                        one, qubit = True, int(ids)
-                    elif canonical_ids.fullmatch(ids):
-                        # the grammar took as many ids as the op takes
-                        qubits = tuple(map(int, ids.split(",")))
-                        checked = op not in _THREE_QUBIT or len(set(qubits)) == 3
-                    else:
-                        op, qubits = _decode(line, f"{source}:{line_number}")
-                else:
-                    op, qubits = _decode(line, f"{source}:{line_number}")
-            if one:
+        for op, ids, checked in items:
+            index += 1
+            if type(ids) is int:
                 if op == "alloc":
-                    if qubit in live:
-                        raise DoubleAllocError(qubit, index)
-                    live.add(qubit)
+                    if ids in live:
+                        raise DoubleAllocError(ids, index)
+                    live.add(ids)
                     peak = max(peak, len(live))
                     continue
-                if qubit not in live:
-                    raise UseAfterReleaseError(qubit, index)
+                if ids not in live:
+                    raise UseAfterReleaseError(ids, index)
                 if op == "release":
-                    live.remove(qubit)
+                    live.remove(ids)
                     continue
                 if op == "clifford":
                     continue
-                layer = last_layer[qubit] = last_layer.get(qubit, 0) + 1
+                layer = last_layer[ids] = last_layer.get(ids, 0) + 1
             else:
                 if not checked:
-                    _check_arity(op, qubits, index)
+                    _check_event(op, ids, index)
                 if op == "alloc":
-                    for q in qubits:
+                    for q in ids:
                         if q in live:
                             raise DoubleAllocError(q, index)
                         live.add(q)
                     peak = max(peak, len(live))
                     continue
-                for q in qubits:
+                for q in ids:
                     if q not in live:
                         raise UseAfterReleaseError(q, index)
                 if op == "release":
-                    live.difference_update(qubits)
+                    live.difference_update(ids)
                     continue
                 if op == "clifford":
                     continue
                 layer = 0
-                for q in qubits:
+                for q in ids:
                     if last_layer.get(q, 0) > layer:
                         layer = last_layer[q]
                 layer += 1
-                for q in qubits:
+                for q in ids:
                     last_layer[q] = layer
             tallies[op] += 1
             if op == "rz":
@@ -297,7 +263,6 @@ def _count(items: Iterator, source: Optional[str] = None) -> LogicalCounts:
                     rotation_layers.extend(bytes(layer + 1 - len(rotation_layers)))
                 rotation_layers[layer] = 1
     except (UseAfterReleaseError, DoubleAllocError, ArityMismatchError):
-        rest = items if source is None else parse_trace_lines(items, source, line_number + 1)
         for _ in rest:
             pass
         raise
@@ -324,66 +289,81 @@ def _decode(line: str, context: str) -> TraceEvent:
     return TraceEvent.from_mapping(record, context)
 
 
-def parse_trace_lines(
-    lines: Iterable[str], source: str = "<trace>", first_line: int = 1
-) -> Iterator[TraceEvent]:
+def _decoded(blocks: Iterable[Iterable[str]], source: str) -> Iterator[tuple]:
+    """``(op, ids, checked)`` for each non-blank line of ``blocks``, lists of
+    lines; errors name ``source`` and the line's number.
+
+    A line spelled as one of ``_CANONICAL_HEADS`` is decoded here, any other
+    by :func:`_decode`.  ``ids`` is an int for one canonical id that fits
+    ``op``, else a tuple; ``checked`` marks canonical ids known to fit
+    ``op``.  A :class:`TraceFormatError` is raised after the rest of
+    ``blocks`` has been taken, so that a later read or decode error wins.
+    """
+    line_number = 0
+    try:
+        for lines in blocks:
+            for line in lines:
+                line_number += 1
+                line = line.strip()
+                if not line:
+                    continue
+                head, _, ids = line.partition("[")
+                spelling = _CANONICAL_HEADS.get(head)
+                if spelling is not None and ids.endswith("]}"):
+                    op, canonical_ids = spelling
+                    ids = ids[:-2]
+                    # one id, the common case, is checked without the regex
+                    if (ids.isdigit() and ids.isascii() and ids[0] != "0" and len(ids) < 19
+                            and op not in _THREE_QUBIT):
+                        yield op, int(ids), True
+                        continue
+                    if canonical_ids.fullmatch(ids):
+                        # the grammar took as many ids as the op takes
+                        qubits = tuple(map(int, ids.split(",")))
+                        yield op, qubits, op not in _THREE_QUBIT or len(set(qubits)) == 3
+                        continue
+                yield (*_decode(line, f"{source}:{line_number}"), False)
+    except TraceFormatError:
+        for _ in blocks:
+            pass
+        raise
+
+
+def _as_events(decoded: Iterator[tuple]) -> Iterator[TraceEvent]:
+    for op, ids, _ in decoded:
+        yield TraceEvent(op, (ids,) if type(ids) is int else ids)
+
+
+def parse_trace_lines(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceEvent]:
     """Parse line-delimited JSON trace records, e.g. ``{"op":"ccz","q":[0,1,2]}``.
 
     Blank lines are skipped; anything else that fails to decode, and any
     unknown ``op`` value, is a hard error, named by ``source`` and its
-    line number, counted from ``first_line``.  Records spelled as
-    ``json.dumps`` writes them, with default or compact separators, are
-    decoded without ``json.loads``, to the same events.
+    line number.  Records spelled as ``json.dumps`` writes them, with
+    default or compact separators, are decoded without ``json.loads``, to
+    the same events.
     """
-    for line_number, line in enumerate(lines, first_line):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        head, _, tail = stripped.partition("[")
-        spelling = _CANONICAL_HEADS.get(head)
-        if spelling is not None and tail.endswith("]}"):
-            op, canonical_ids = spelling
-            ids = tail[:-2]
-            # one id, the common case, is checked without the regex
-            if ids.isdigit() and ids.isascii() and ids[0] != "0" and len(ids) < 19:
-                yield TraceEvent(op, (int(ids),))
-                continue
-            if canonical_ids.fullmatch(ids):
-                yield TraceEvent(op, tuple(map(int, ids.split(","))))
-                continue
-        yield _decode(stripped, f"{source}:{line_number}")
+    # the lines as one block, so that none is taken after an error
+    return _as_events(_decoded((lines,), source))
 
 
-def _lines(stream: TextIO) -> Iterator[str]:
-    """The lines of a text stream with their line breaks, split as
-    ``str.splitlines`` splits the whole text."""
-    carry = ""
-    # The last piece of a block may go on in the next one (a closing "\r"
-    # may be the first half of "\r\n"), so it is carried over.  Reading at
-    # least as much as is carried keeps a line longer than a block linear.
-    while block := stream.read(max(_BLOCK_SIZE, len(carry))):
-        lines = (carry + block).splitlines(keepends=True)
-        carry = lines.pop()
-        yield from lines
-    if carry:
-        yield carry
-
-
-@contextmanager
-def _trace_lines(path: Path) -> Iterator[Iterator[str]]:
-    """The lines of an open trace file, with its read and decode errors.
-
-    A read or decode error anywhere in the file wins over a parse error:
-    on a :class:`TraceFormatError` the rest of the file is read first.
-    """
+def _blocks(path: Union[str, Path]) -> Iterator[list[str]]:
+    """The lines of the trace file at ``path`` with their line breaks, a
+    list per block read, split as ``str.splitlines`` splits the whole text.
+    A read or decode error is reported in the whole file."""
+    path = Path(path)
     try:
         with path.open(encoding="utf-8", newline="") as stream:
-            try:
-                yield _lines(stream)
-            except TraceFormatError:
-                while stream.read(_BLOCK_SIZE):
-                    pass
-                raise
+            carry = ""
+            # The last piece of a block may go on in the next one (a closing "\r"
+            # may be the first half of "\r\n"), so it is carried over.  Reading
+            # at least as much as is carried keeps a line longer than a block linear.
+            while block := stream.read(max(_BLOCK_SIZE, len(carry))):
+                lines = (carry + block).splitlines(keepends=True)
+                carry = lines.pop()
+                yield lines
+            if carry:
+                yield [carry]
     except (OSError, UnicodeDecodeError) as exc:
         # a decode error gives its position within one block; reading the
         # whole file again reports it in the file
@@ -391,17 +371,35 @@ def _trace_lines(path: Path) -> Iterator[Iterator[str]]:
         raise _unreadable("trace file", path, exc) from exc
 
 
+class _TraceReader:
+    """The events of a trace file, as :func:`read_trace` returns them."""
+
+    __slots__ = ("path", "_events")
+
+    def __init__(self, path: Union[str, Path]):
+        self.path = path
+        # None until the first event is asked for, when the file is opened
+        self._events: Optional[Iterator[TraceEvent]] = None
+
+    def __iter__(self) -> "_TraceReader":
+        return self
+
+    def __next__(self) -> TraceEvent:
+        if self._events is None:
+            self._events = _as_events(_decoded(_blocks(self.path), str(self.path)))
+        return next(self._events)
+
+
 def read_trace(path: Union[str, Path]) -> Iterator[TraceEvent]:
     """Stream the events of a trace file (one JSON event per line).
 
-    Returns a generator, which is its own iterator: the file is opened
-    when the first event is taken and read in blocks as the events are
-    taken, so memory does not grow with the trace, and read, decode and
-    parse errors are raised as the events are taken.  Callers that need
-    a list call ``list()``.  :func:`count_trace` given a reader from which
-    no event has been taken counts the file's lines itself, without
-    building an event per line, and closes the reader.
+    Returns a reader, which is its own iterator: the file is opened when
+    the first event is taken and read in blocks as the events are taken,
+    so memory does not grow with the trace, and read, decode and parse
+    errors are raised as the events are taken.  After an error, as after
+    its last event, the reader is empty.  Callers that need a list call
+    ``list()``.  :func:`count_trace` given a reader from which no event
+    has been taken counts the file's lines itself, without building an
+    event per line, and leaves the reader empty.
     """
-    source, path = str(path), Path(path)
-    with _trace_lines(path) as lines:
-        yield from parse_trace_lines(lines, source)
+    return _TraceReader(path)

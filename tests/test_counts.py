@@ -342,16 +342,34 @@ def test_fast_path_parses_as_json_loads(line):
     assert outcome(lambda: list(parse_trace_lines([line]))) == expected
 
 
-def test_canonical_spellings_take_the_fast_path(monkeypatch):
+def test_canonical_spellings_take_the_fast_path(tmp_path, monkeypatch):
     lines = [json.dumps({"op": op, "q": q}, separators=separators)
              for op, q in (("t", [12]), ("ccz", [0, 1, 2]), ("alloc", [0]), ("clifford", [3, 4]))
              for separators in ((", ", ": "), (",", ":"))]
+    # the same spellings as a trace that counts without error
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(
+        json.dumps({"op": op, "q": q}, separators=separators)
+        for separators in ((", ", ": "), (",", ":"))
+        for op, q in (("alloc", [0, 1, 2, 3, 4, 12]), ("t", [12]), ("ccz", [0, 1, 2]),
+                      ("clifford", [3, 4]), ("rz", [1]), ("release", [0, 1, 2, 3, 4, 12]),
+                      ("alloc", [7]), ("measure", [7]), ("release", [7]))
+    ))
+    expected = count_trace(list(read_trace(path)))
+    assert expected.num_qubits == 6 and expected.ccz_count == 2 and expected.rotation_depth == 2
 
     def refuse(text):
         raise AssertionError(f"json.loads called on {text!r}")
 
     monkeypatch.setattr(counts.json, "loads", refuse)
     assert len(list(parse_trace_lines(lines))) == len(lines)
+
+    def refuse_event(*args):
+        raise AssertionError("an event was built")
+
+    # counting the file takes the same decoder, and builds no event either
+    monkeypatch.setattr(counts, "TraceEvent", refuse_event)
+    assert count_trace(read_trace(path)) == expected
 
 
 CANONICAL = [
@@ -636,6 +654,33 @@ class TestReaderStates:
         reader = read_trace(path)
         with pytest.raises(UseAfterReleaseError):
             count_trace(reader)
+        assert list(reader) == []
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [('{"op": bad}\n{"op":"alloc","q":[0]}\n', TraceFormatError), (None, ConfigError)],
+        ids=["bad json on line 1", "missing file"],
+    )
+    def test_a_reader_whose_first_step_failed_reads_as_empty(self, path, data, error):
+        if data is None:
+            path.unlink()
+        else:
+            path.write_text(data)
+        reader = read_trace(path)
+        with pytest.raises(error):
+            next(reader)
+        assert list(reader) == []
+        assert count_trace(reader) == LogicalCounts()
+
+    def test_an_iterator_of_an_unstarted_reader_is_counted_from_lines(self, path, monkeypatch):
+        expected = count_trace(list(read_trace(path)))
+
+        def refuse(*args):
+            raise AssertionError("an event was built")
+
+        monkeypatch.setattr(counts, "TraceEvent", refuse)
+        reader = read_trace(path)
+        assert count_trace(iter(reader)) == expected
         assert list(reader) == []
 
     @pytest.mark.filterwarnings("error::ResourceWarning")

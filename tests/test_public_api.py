@@ -53,3 +53,27 @@ def test_every_exported_name_is_in_its_home_modules_all():
         f"{home}.{name}" for home, name in imports if name not in star_names(MODULES[home])
     ]
     assert unlisted == []
+
+
+FRAME_NAMES = {"gi_code", "gi_frame", "f_locals", "_getframe"}
+
+
+def names_read(tree):
+    """Each attribute, name, imported name and string constant in ``tree``;
+    a string may name an attribute for ``getattr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+@pytest.mark.parametrize("name", sorted(MODULES) + ["__init__"])
+def test_no_module_reads_generator_or_frame_internals(name):
+    # what the package does must not hang on CPython's generator and frame internals
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert sorted(FRAME_NAMES.intersection(names_read(tree))) == []
