@@ -147,7 +147,10 @@ class QecScheme(JsonRecord):
 
     Both formulas may reference the operation-time variables and
     ``codeDistance``; they must evaluate to positive values for every odd
-    distance up to ``max_code_distance``, which is at most 101.
+    distance from 3 to ``max_code_distance``, which is at most 101.  At
+    distance 1 (a physical-level distillation round) a non-positive value,
+    a domain error or a division by zero only drops that round, while an
+    unbound variable fails at every distance.
     """
 
     name: str
@@ -271,9 +274,8 @@ def evaluate_scheme_formulas(
 ) -> tuple[float, int]:
     """Evaluate (cycle time ns, physical qubits per logical qubit) at a distance.
 
-    Accepts any distance >= 1 so that distillation rounds can cost a
-    physical-level stage with ``codeDistance = 1``; both values must come
-    out positive.
+    Any distance >= 1 is accepted (see :class:`QecScheme` on distance 1);
+    both values must come out positive.
     """
     return _scheme_values(scheme, params.time_variables(), code_distance)
 

@@ -3,7 +3,7 @@
 A distillation unit turns many noisy T states into fewer, cleaner ones;
 its failure probability, output error rate, footprint, and duration come
 from configurable formulas.  The pipeline search chains up to
-``max_rounds`` units, feeding each round's output error into the next,
+``MAX_ROUNDS`` units, feeding each round's output error into the next,
 and keeps the cheapest chain (fewest physical qubits per factory copy,
 then shortest run, then fewest rounds) that reaches the required T-state
 fidelity.  One depth-first search covers every unit set: a unit whose
@@ -31,7 +31,9 @@ from typing import Optional, Sequence
 from . import formulas
 from .errors import (
     ConfigError,
+    DivisionByZeroError,
     FactoryConstraintInfeasibleError,
+    FormulaDomainError,
     InvalidPartitionError,
     JsonRecord,
     NoFeasiblePipelineError,
@@ -52,11 +54,13 @@ __all__ = [
     "search_pipeline",
     "size_fleet",
     "MAX_UNITS",
+    "MAX_ROUNDS",
 ]
 
-#: Cap on the unit list.  It bounds the search, whose work grows with the
-#: number of branches per round raised to the number of rounds.
+#: Caps on the unit list and on a chain's rounds.  They bound the search,
+#: whose work grows with the branches per round raised to the rounds.
 MAX_UNITS = 8
+MAX_ROUNDS = 3
 
 
 class Applicability(str, Enum):
@@ -181,7 +185,6 @@ class TFactoryConstraints(JsonRecord):
                 raise ConfigError(f"{key} must be >= 1, got {value!r}")
 
 
-
 def required_t_state_error(error_budget_t_states: float, total_t_states: int) -> float:
     """Per-state error target from the distillation budget share."""
     if total_t_states < 1:
@@ -214,11 +217,10 @@ def search_pipeline(
     params: PhysicalQubitParams,
     input_error: float,
     required_error: float,
-    max_rounds: int = 3,
 ) -> TFactoryPlan:
     """Find the cheapest distillation chain reaching the required error.
 
-    Depth-first search over chains of 1 to ``max_rounds`` rounds, each
+    Depth-first search over chains of 1 to ``MAX_ROUNDS`` rounds, each
     round any unit at any allowed code distance, chaining output error
     into the next round's input; raises :class:`NoFeasiblePipelineError`
     when nothing reaches the target.  Each branch appends one round to
@@ -229,10 +231,11 @@ def search_pipeline(
     distance.  A chain that reaches the target is scored, never extended:
     another round can only widen the copy and lengthen the run.
 
-    Every formula reads its variables from one table per search, filled
-    lazily: a code distance maps to the variables of a round at that
+    Every formula runs in a row of one table, private to the call and
+    filled lazily: a code distance maps to the variables of a round at that
     distance (None where the scheme rejects distance 1), and None to the
     base variables, which the error formulas of a distance-free unit read.
+    A row's ``inputErrorRate`` is written just before each evaluation.
     A branch whose cost formulas do not read ``inputErrorRate`` has the
     same raw qubits and duration in every chain; they are memoized per
     search the first time the branch gets that far, so failure, output
@@ -268,8 +271,6 @@ def search_pipeline(
         raise ConfigError(f"tGateErrorRate must be in (0, 1) for T states, got {input_error!r}")
     if not 0.0 < required_error < 1.0:
         raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
-    if max_rounds < 1:
-        raise ConfigError(f"max_rounds must be >= 1, got {max_rounds}")
 
     times = params.time_variables()
     base = {**times, "cliffordErrorRate": params.clifford_error_rate}
@@ -279,10 +280,8 @@ def search_pipeline(
         if distance not in table:
             try:
                 cycle_time, footprint = _scheme_values(scheme, times, distance)
-            except ConfigError:
-                # scheme formulas only promise positivity for distance >= 3;
-                # a physical-level round is then simply unavailable
-                if distance != 1:
+            except (ConfigError, FormulaDomainError, DivisionByZeroError):
+                if distance != 1:  # QecScheme's rule: no physical-level round
                     raise
                 table[distance] = None
             else:
@@ -346,10 +345,10 @@ def search_pipeline(
 
     def visit(error: float) -> None:
         for index, (unit, at, distances, fixed_cost) in enumerate(branches):
-            row = variables_at(at)
-            if row is None:
+            env = variables_at(at)
+            if env is None:
                 continue
-            env = {**row, "inputErrorRate": error}
+            env["inputErrorRate"] = error
             failure = formulas.evaluate(unit.failure_probability, env)
             if not 0.0 <= failure < 1.0:
                 continue
@@ -360,12 +359,12 @@ def search_pipeline(
             if raw is None:
                 raw = []
                 for d in distances:
-                    row = variables_at(d)
-                    if row is None:
+                    env = variables_at(d)
+                    if env is None:
                         continue
-                    cost_env = env if d == at else {**row, "inputErrorRate": error}
-                    qubits = formulas.evaluate(unit.physical_qubits, cost_env)
-                    duration = formulas.evaluate(unit.duration, cost_env)
+                    env["inputErrorRate"] = error
+                    qubits = formulas.evaluate(unit.physical_qubits, env)
+                    duration = formulas.evaluate(unit.duration, env)
                     # an overflowed or NaN cost makes the round unavailable,
                     # as a non-positive one does
                     if 1.0 <= qubits < math.inf and 0.0 < duration < math.inf:
@@ -382,7 +381,7 @@ def search_pipeline(
             chain.append((unit, options, narrowest))
             if output <= required_error:
                 score(output)
-            elif len(chain) < max_rounds:
+            elif len(chain) < MAX_ROUNDS:
                 # the next round takes at least min_inputs states from this one
                 least = -(-min_inputs // unit.num_output_ts)
                 parallel = _parallel_units([u for u, _, _ in chain], least)
@@ -393,12 +392,10 @@ def search_pipeline(
     visit(input_error)
     if best_plan is None:
         raise NoFeasiblePipelineError(
-            f"no distillation chain of <= {max_rounds} rounds reaches error "
+            f"no distillation chain of <= {MAX_ROUNDS} rounds reaches error "
             f"{required_error:g} from input error {input_error:g}"
         )
     return best_plan
-
-
 
 
 def size_fleet(

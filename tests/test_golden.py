@@ -13,6 +13,8 @@ import contextlib
 import io
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,76 @@ def test_report_reads_back_as_an_equal_report(name):
     again = EstimateReport.from_mapping(report.as_mapping())
     assert again == report
     assert again.to_json() == report.to_json()
+
+
+def load_golden(name):
+    return job_from_mapping(json.loads((GOLDEN / f"{name}.json").read_text()), GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "cycle_time, error",
+    [
+        ("log2(codeDistance - {d}) * oneQubitMeasurementTime", "FormulaDomainError"),
+        ("100 * oneQubitMeasurementTime / (codeDistance - {d})", "DivisionByZeroError"),
+    ],
+)
+def test_scheme_failing_only_at_distance_one_runs_every_round_logically(
+    cycle_time, error, tmp_path, capsys
+):
+    document = json.loads((GOLDEN / "distance_dependent_units.json").read_text())
+    path = tmp_path / "job.json"
+    for d in (1, 3):
+        document["qecScheme"]["logicalCycleTime"] = cycle_time.format(d=d)
+        path.write_text(json.dumps(document))
+        code = cli.main(["estimate", "--job", str(path)])
+        out, err = capsys.readouterr()
+        if d == 1:
+            assert code == 0, err
+            rounds = json.loads(out)["tFactoryParameters"]["rounds"]
+            assert rounds and all(r["codeDistance"] >= 3 for r in rounds)
+        else:
+            # a distance the scheme must support: the error still ends the job
+            assert code == 2
+            assert json.loads(err)["error"]["type"] == error
+
+
+def test_eight_unit_search_evaluates_no_more_formulas_than_recorded(monkeypatch):
+    # the ceiling is the count when it was recorded; a change that does
+    # less formula work lowers it
+    job = load_golden("eight_units_d51")
+    calls = 0
+    evaluate = formulas.evaluate
+
+    def counted(expr, env):
+        nonlocal calls
+        calls += 1
+        return evaluate(expr, env)
+
+    monkeypatch.setattr(formulas, "evaluate", counted)  # where tfactory and qec look it up
+    run_job(job)
+    assert 0 < calls <= 132_452
+
+
+def test_concurrent_searches_keep_their_distance_tables_to_themselves():
+    # each search writes inputErrorRate into the rows of its own table, so
+    # searches running on threads at once must give the sequential reports
+    names = [
+        "eight_units_d51",
+        "distance_dependent_units",
+        "logical_only_units",
+        "distance_free_units",
+        "copy_limit_slowdown",
+    ]
+    jobs = [load_golden(name) for name in names] * 2
+    sequential = [run_job(job).to_json() for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                assert list(pool.map(lambda job: run_job(job).to_json(), jobs)) == sequential
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # json.dumps of each built-in record's as_mapping, byte for byte

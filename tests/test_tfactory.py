@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from ftqc_estimator.errors import (
     FormulaSyntaxError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
+    UnboundVariableError,
 )
-from ftqc_estimator import formulas
+from ftqc_estimator import formulas, tfactory
 from ftqc_estimator.formulas import evaluate
 from ftqc_estimator.qec import FLOQUET_CODE, QecScheme, evaluate_scheme_formulas
 from ftqc_estimator.tfactory import (
@@ -221,6 +223,16 @@ class TestSearchPipeline:
         plan = search_pipeline((DEFAULT_15_TO_1,), scheme, majorana_params(), 1e-4, 1e-10)
         assert all(r.code_distance >= 3 for r in plan.rounds)
 
+    def test_unbound_scheme_variable_raises_at_distance_one(self):
+        # unlike a domain error or a division by zero, it does not just drop
+        # the physical-level round: it fails at every distance
+        scheme = QecScheme.from_strings(
+            "unbound", 0.07, 0.01, "codeDistance * cycleTime", "4 * codeDistance ^ 2"
+        )
+        physical = dataclasses.replace(DEFAULT_15_TO_1, applicability=Applicability.PHYSICAL_ONLY)
+        with pytest.raises(UnboundVariableError, match="cycleTime"):
+            search_pipeline((physical,), scheme, majorana_params(), 1e-4, 1e-10)
+
     def test_more_than_eight_units_rejected(self):
         with pytest.raises(ConfigError, match="at most 8 distillation units"):
             search_pipeline((DEFAULT_15_TO_1,) * 9, FLOQUET_CODE, majorana_params(), 1e-4, 1e-10)
@@ -232,10 +244,6 @@ class TestSearchPipeline:
             search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 0.0, 1e-10)
         with pytest.raises(ValueError):
             search_pipeline((DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 0.0)
-        with pytest.raises(ValueError):
-            search_pipeline(
-                (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10, max_rounds=0
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +586,12 @@ class TestSearchMatchesOracleOnRandomUnits:
         scheme = QecScheme.from_mapping(data)
         params = majorana_params(t_gate_error_rate=1e-3)
         expected = oracle_search(units, scheme, params, 1e-3, required, max_rounds)
-        if expected is None:
-            with pytest.raises(NoFeasiblePipelineError):
-                search_pipeline(units, scheme, params, 1e-3, required, max_rounds)
-            return
-        plan = search_pipeline(units, scheme, params, 1e-3, required, max_rounds)
+        with mock.patch.object(tfactory, "MAX_ROUNDS", max_rounds):
+            if expected is None:
+                with pytest.raises(NoFeasiblePipelineError):
+                    search_pipeline(units, scheme, params, 1e-3, required)
+                return
+            plan = search_pipeline(units, scheme, params, 1e-3, required)
         assert plan.physical_qubits_per_copy == expected[0]
         assert plan.duration_per_run == pytest.approx(expected[1])
         assert len(plan.rounds) == expected[2]
