@@ -9,7 +9,10 @@ then shortest run, then fewest rounds) that reaches the required T-state
 fidelity.  One depth-first search covers every unit set: a unit whose
 error formulas ignore the code distance contributes one branch per round
 with its distance chosen when the chain is scored, any other unit one
-branch per allowed distance.
+branch per allowed distance.  Each visit scores the chains that reach the
+target first and then extends the other prefixes cheapest first, so a
+wide search finds the winning footprint early and its bounds cut the
+rest; ties and formula errors still resolve as in unit-list order.
 
 Within one factory copy the rounds execute sequentially, so the copy's
 footprint is its widest round and its run duration is the sum of the
@@ -253,15 +256,29 @@ def search_pipeline(
     change the winner, but a formula that would raise only inside a cut
     subtree is never evaluated.
 
+    Visiting order: a visit evaluates its branches in unit-list order and
+    scores each chain that reaches the target at once; only then does it
+    extend the remaining prefixes, in ascending order of their lookahead
+    bound, ties by branch index.  The cheapest prefix usually holds the
+    winner, so the bounds cut the rest early.  With one branch per round
+    the two orders are the same, and the search runs in unit-list order.
+    If a formula raises in the ordered search, the search runs again in
+    unit-list order (keeping the cost memo and the distance table), which
+    returns or raises exactly what that order does.  So a search returns
+    the plan, or raises the error, of a unit-list-order search, except
+    that an error met only in work the ordered search cuts is skipped,
+    as the bounds already skip it.
+
     Scoring a chain: the narrowest feasible copy is
     ``cap = max_k min_d parallel_k * qubits_k(d)``, and under that cap each
     round independently takes its option with the least
     ``(duration, qubits, distance)``.  This gives the same optimum as
     trying every distance combination.  Chains are ranked by the key
-    ``(cap, total duration, rounds)``; among equal keys the first chain
-    in search order wins, i.e. the one that comes first when rounds are
-    compared in unit-list order, then by ascending distance for units
-    that branch per distance.
+    ``(cap, total duration, rounds)``, the duration summed left to right
+    over the rounds; among equal keys the chain first in unit-list search
+    order wins, whatever order the chains were visited in, i.e. the one
+    that comes first when rounds are compared in unit-list order, then by
+    ascending distance for units that branch per distance.
     """
     if not units:
         raise ConfigError("at least one distillation unit is required")
@@ -314,28 +331,40 @@ def search_pipeline(
 
     best_key: Optional[tuple] = None
     best_plan: Optional[TFactoryPlan] = None
+    best_path: list[int] = []
     # per round: (unit, options as (expected duration, unit qubits, distance),
-    # qubits of its narrowest option)
-    chain: list[tuple[DistillationUnit, list[tuple[float, int, int]], int]] = []
+    # qubits of its narrowest option, branch index)
+    chain: list[tuple[DistillationUnit, list[tuple[float, int, int]], int, int]] = []
 
     def narrowest_cap(parallel: list[int]) -> int:
-        return max(m * narrowest for m, (_, _, narrowest) in zip(parallel, chain))
+        return max(m * narrowest for m, (_, _, narrowest, _) in zip(parallel, chain))
 
     def score(output_error: float) -> None:
-        nonlocal best_key, best_plan
-        parallel = _parallel_units([unit for unit, _, _ in chain])
+        nonlocal best_key, best_plan, best_path
+        parallel = _parallel_units([unit for unit, _, _, _ in chain])
         cap = narrowest_cap(parallel)
         picks = [
-            min(o for o in opts if m * o[1] <= cap) for m, (_, opts, _) in zip(parallel, chain)
+            min(o for o in opts if m * o[1] <= cap) for m, (_, opts, _, _) in zip(parallel, chain)
         ]
-        total_duration = sum(duration for duration, _, _ in picks)
+        # left to right, as sum() did before CPython 3.12 compensated it
+        total_duration = 0.0
+        for duration, _, _ in picks:
+            total_duration += duration
         key = (cap, total_duration, len(chain))
-        if best_key is None or key < best_key:
+        # an equal key goes to the chain first in unit-list order: the
+        # ordered search may score it later, a unit-list search never does
+        if (
+            best_key is None
+            or key < best_key
+            or (not in_order and key == best_key and [index for *_, index in chain] < best_path)
+        ):
             best_key = key
+            if not in_order:
+                best_path = [index for *_, index in chain]
             best_plan = TFactoryPlan(
                 rounds=tuple(
                     FactoryRound(unit.name, d, m)
-                    for m, (unit, _, _), (_, _, d) in zip(parallel, chain, picks)
+                    for m, (unit, _, _, _), (_, _, d) in zip(parallel, chain, picks)
                 ),
                 output_error_rate=output_error,
                 duration_per_run=total_duration,
@@ -344,6 +373,9 @@ def search_pipeline(
             )
 
     def visit(error: float) -> None:
+        # (lookahead bound, branch index, round, its output error) of each
+        # prefix to extend once every branch here has been scored
+        later = []
         for index, (unit, at, distances, fixed_cost) in enumerate(branches):
             env = variables_at(at)
             if env is None:
@@ -378,18 +410,41 @@ def search_pipeline(
             if best_key is not None and narrowest > best_key[0]:
                 continue
             options = [(duration / (1.0 - failure), q, d) for duration, q, d in raw]
-            chain.append((unit, options, narrowest))
+            step = (unit, options, narrowest, index)
+            chain.append(step)
             if output <= required_error:
                 score(output)
             elif len(chain) < MAX_ROUNDS:
                 # the next round takes at least min_inputs states from this one
                 least = -(-min_inputs // unit.num_output_ts)
-                parallel = _parallel_units([u for u, _, _ in chain], least)
-                if best_key is None or narrowest_cap(parallel) <= best_key[0]:
-                    visit(output)
+                bound = narrowest_cap(_parallel_units([u for u, _, _, _ in chain], least))
+                if best_key is None or bound <= best_key[0]:
+                    if in_order:
+                        visit(output)
+                    else:
+                        later.append((bound, index, step, output))
+            chain.pop()
+        later.sort()
+        for bound, _, step, output in later:
+            if best_key is not None and bound > best_key[0]:
+                break
+            chain.append(step)
+            visit(output)
             chain.pop()
 
-    visit(input_error)
+    # one branch per round leaves nothing to reorder
+    in_order = len(branches) == 1
+    try:
+        visit(input_error)
+    except Exception:
+        if in_order:
+            raise
+        # whatever the ordered pass raised, a search in unit-list order
+        # raises the error that order meets first or returns its plan
+        in_order = True
+        best_key = best_plan = None
+        chain.clear()
+        visit(input_error)
     if best_plan is None:
         raise NoFeasiblePipelineError(
             f"no distillation chain of <= {MAX_ROUNDS} rounds reaches error "

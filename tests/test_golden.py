@@ -219,7 +219,7 @@ def test_eight_unit_search_evaluates_no_more_formulas_than_recorded(monkeypatch)
 
     monkeypatch.setattr(formulas, "evaluate", counted)  # where tfactory and qec look it up
     run_job(job)
-    assert 0 < calls <= 132_452
+    assert 0 < calls <= 106_452
 
 
 def test_concurrent_searches_keep_their_distance_tables_to_themselves():

@@ -13,6 +13,7 @@ from ftqc_estimator.errors import (
     ConfigError,
     DivisionByZeroError,
     FactoryConstraintInfeasibleError,
+    FormulaDomainError,
     FormulaSyntaxError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
@@ -194,6 +195,22 @@ class TestSearchPipeline:
         cycle, _ = evaluate_scheme_formulas(FLOQUET_CODE, majorana_params(), d)
         failure = 15 * 1e-4
         assert plan.duration_per_run == pytest.approx(11 * cycle / (1 - failure))
+
+    def test_round_durations_add_left_to_right(self, small_scheme):
+        # three rounds of 1e16, 1.0001 and 1 ns: adding left to right rounds
+        # twice, to 1e16 + 4, where a compensated sum (CPython 3.12's sum())
+        # gives 1e16 + 2, and the report bytes would depend on the version
+        unit = physical_unit("steep", 2, 1, "0", "inputErrorRate / 10", "1",
+                             "1 + 1e76 * inputErrorRate ^ 20")
+        params = majorana_params(t_gate_error_rate=1e-3)
+        plan = search_pipeline((unit,), small_scheme, params, 1e-3, 2e-6)
+        assert len(plan.rounds) == 3
+        errors = [1e-3]
+        for _ in range(2):
+            errors.append(evaluate(unit.output_error_rate, {"inputErrorRate": errors[-1]}))
+        durations = [evaluate(unit.duration, {"inputErrorRate": e}) for e in errors]
+        assert plan.duration_per_run == (durations[0] + durations[1]) + durations[2]
+        assert plan.duration_per_run != math.fsum(durations)
 
     def test_prefers_fewest_qubits(self):
         plan = search_pipeline(
@@ -479,6 +496,30 @@ class TestSearchBounds:
         assert plan.physical_qubits_per_copy == expected[0] == 30
         assert plan.duration_per_run == pytest.approx(expected[1])
 
+    def test_equal_key_chain_earlier_in_unit_order_wins(self, small_scheme, monkeypatch):
+        # 9-to-1 then 15-to-1 and 15-to-1 then 9-to-1 tie on (cap 45, 10 ns,
+        # 2 rounds).  The 9-to-1 prefix has the lower lookahead bound (27
+        # against 45), so it is extended first, yet the chain that comes
+        # first in unit-list order wins, as in the oracle's enumeration
+        wide = physical_unit("wide", 15, 1, "0", "10 * inputErrorRate ^ 3", "5", "7")
+        narrow = physical_unit("narrow", 9, 1, "0", "inputErrorRate / 100", "3", "3")
+        units = (wide, narrow)
+        params = majorana_params(t_gate_error_rate=1e-2)
+        expected = oracle_search(units, small_scheme, params, 1e-2, 5e-7)
+        seen = []
+        evaluate_once = formulas.evaluate
+
+        def recording(expr, env):
+            if "inputErrorRate" in env and env["inputErrorRate"] not in seen:
+                seen.append(env["inputErrorRate"])
+            return evaluate_once(expr, env)
+
+        monkeypatch.setattr(formulas, "evaluate", recording)
+        plan = search_pipeline(units, small_scheme, params, 1e-2, 5e-7)
+        assert seen[:2] == [1e-2, evaluate(narrow.output_error_rate, {"inputErrorRate": 1e-2})]
+        assert chosen_rounds(plan) == expected[3] == [("wide", 1), ("narrow", 1)]
+        assert (plan.physical_qubits_per_copy, plan.duration_per_run) == expected[:2] == (45, 10.0)
+
     def test_costs_that_read_the_input_error_are_not_memoized(self, small_scheme):
         # both rounds use this unit; the second sees a far cleaner input, so
         # it is narrower and shorter than the first
@@ -527,6 +568,27 @@ class TestSearchErrorOrder:
         plan = search_pipeline(units, small_scheme, params, 1e-3, 1e-7)
         assert chosen_rounds(plan) == [("15-to-1-physical", 1)]
 
+    def test_formula_error_met_only_out_of_unit_order_falls_back(self, small_scheme):
+        # the narrow unit's failure formula takes the root of a negative
+        # number for inputs in (5e-10, 5e-9), i.e. in a third narrow round.
+        # Extending the narrower prefix first reaches that round; a search in
+        # unit-list order has found wide x 2 at cap 150 by then and never
+        # extends narrow, narrow, so the search returns that plan
+        wide = physical_unit("wide", 15, 1, "15 * inputErrorRate",
+                             "35 * inputErrorRate ^ 3", "10", "11")
+        narrow = physical_unit(
+            "narrow", 9, 1,
+            "9 * inputErrorRate + 0 * sqrt((inputErrorRate - 5e-9) * (inputErrorRate - 5e-10))",
+            "10 * inputErrorRate ^ 2", "2", "5",
+        )
+        with pytest.raises(FormulaDomainError):
+            evaluate(narrow.failure_probability, {"inputErrorRate": 1e-9})
+        params = majorana_params(t_gate_error_rate=1e-3)
+        plan = search_pipeline((wide, narrow), small_scheme, params, 1e-3, 1e-14)
+        assert chosen_rounds(plan) == [("wide", 1), ("wide", 1)]
+        assert [r.num_parallel_units for r in plan.rounds] == [15, 1]
+        assert plan.physical_qubits_per_copy == 150
+
 
 # error formulas: distance-free, then distance-dependent (a 1/d factor, or
 # an error floor that falls with the distance as in the crossing model)
@@ -550,6 +612,11 @@ _DURATIONS = (
 def unit_sets(draw):
     units = []
     for index in range(draw(st.integers(1, 3))):
+        if units and draw(st.booleans()):
+            # a renamed copy: chains through either tie on every key
+            copied = draw(st.sampled_from(units))
+            units.append(dataclasses.replace(copied, name=f"unit-{index}"))
+            continue
         outputs = draw(st.integers(1, 4))
         values = dict(
             c=draw(st.integers(1, 100)),
