@@ -24,9 +24,10 @@ once.  :func:`evaluate` compiles a tree on its first evaluation into one
 generated straight-line function, a statement per node, and keeps it on
 the tree's root; later evaluations only call it.  Trees of the same shape
 share the compiled code, because every constant is passed in as an
-argument.  The tree itself stays for :func:`to_source` and
-:func:`variables`, and the kept function takes no part in ``==``,
-``hash``, ``repr`` or pickling.  Trees and both caches can be shared
+argument.  :func:`variables` likewise keeps a tree's variable names on
+its root after the first walk.  The tree itself stays for
+:func:`to_source`, and neither kept value takes part in ``==``, ``hash``,
+``repr`` or pickling.  Trees and both caches can be shared
 across threads without a lock, because an entry is only ever replaced by
 an equal one: two threads that parse one text, compile one shape or
 evaluate a new tree at once may both do the work, each keeping an
@@ -94,14 +95,15 @@ DISTILLATION_VARIABLES = QEC_SCHEME_VARIABLES | frozenset(
 
 class _Node:
     """Base of the tree nodes.  ``str`` gives a node's source text.  A
-    tree evaluated once keeps its compiled function (see :func:`evaluate`)
-    on its root, as an attribute outside its fields; pickling leaves it out."""
+    tree evaluated once keeps its compiled function (see :func:`evaluate`),
+    and one walked by :func:`variables` its variable names, on its root as
+    attributes outside its fields; pickling leaves them out."""
 
     def __str__(self) -> str:
         return to_source(self)
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_run"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_run", "_variables")}
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,15 @@ def to_source(expr: FormulaExpr) -> str:
 
 
 def variables(expr: FormulaExpr) -> frozenset[str]:
-    """Collect the variable names referenced by a tree."""
+    """Collect the variable names referenced by a tree.
+
+    The first call walks the tree and keeps the set on its root; later
+    calls return the kept set.
+    """
+    try:
+        return expr._variables
+    except AttributeError:
+        pass
     found: set[str] = set()
     stack: list[FormulaExpr] = [expr]
     while stack:
@@ -348,7 +358,10 @@ def variables(expr: FormulaExpr) -> frozenset[str]:
         elif isinstance(node, BinOp):
             stack.append(node.left)
             stack.append(node.right)
-    return frozenset(found)
+    names = frozenset(found)
+    if isinstance(expr, _Node):
+        object.__setattr__(expr, "_variables", names)
+    return names
 
 
 # ---------------------------------------------------------------------------

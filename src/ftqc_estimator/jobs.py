@@ -9,7 +9,7 @@ rotation-synthesis constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -73,14 +73,16 @@ def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
     if scheme is None:
         raise ConfigError("qecScheme is required when qubitParams is not a named profile")
     job_input = job.input
-    if job_input.trace_path is not None:
-        job_input = replace(job_input, trace_path=str(Path(base_dir) / job_input.trace_path))
-    return replace(
-        job,
+    if job_input.trace_path is not None:  # then the only input
+        job_input = JobInput(trace_path=str(Path(base_dir) / job_input.trace_path))
+    return JobSpec(
         input=job_input,
         qubit_params=params,
         qec_scheme=get_scheme(scheme) if isinstance(scheme, str) else scheme,
         error_budget=ErrorBudget.from_value(job.error_budget),
+        distillation_units=job.distillation_units,
+        t_factory_constraints=job.t_factory_constraints,
+        rotation_synthesis=job.rotation_synthesis,
     )
 
 

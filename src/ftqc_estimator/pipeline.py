@@ -16,7 +16,6 @@ reports.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -113,13 +112,21 @@ def partition_budget(
     return ErrorBudget(budget.total, logical, t_share, rot_share)
 
 
-@contextmanager
-def _stage(name: str):
-    """Re-raise component errors tagged with the pipeline stage."""
-    try:
-        yield
-    except EstimatorError as exc:
-        raise EstimationStageError(name, exc) from exc
+class _stage:
+    """Re-raise component errors tagged with the pipeline stage; any other
+    exception passes through as it is."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, EstimatorError):
+            raise EstimationStageError(self.name, exc) from exc
 
 
 def estimate(

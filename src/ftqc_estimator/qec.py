@@ -117,6 +117,22 @@ class PhysicalQubitParams(JsonRecord):
                 env[key] = float(value)
         return env
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_times"}
+
+
+def _times(params: PhysicalQubitParams) -> dict[str, float]:
+    """``params.time_variables()``, built on the first call and kept on the
+    record as an attribute outside its fields (so outside ``==``, ``hash``,
+    ``repr``, its JSON and pickling).  Every caller shares the one dict and
+    copies it into a formula environment, never changing it."""
+    try:
+        return params._times
+    except AttributeError:
+        times = params.time_variables()
+        object.__setattr__(params, "_times", times)
+        return times
+
 
 # job keys of the operation times (ns) and of the error rates, by attribute
 _TIME_KEYS = {a: k for a, k in PhysicalQubitParams._json_fields() if a.endswith("_time")}
@@ -277,16 +293,16 @@ def evaluate_scheme_formulas(
     Any distance >= 1 is accepted (see :class:`QecScheme` on distance 1);
     both values must come out positive.
     """
-    return _scheme_values(scheme, params.time_variables(), code_distance)
+    env = {**_times(params), "codeDistance": float(code_distance)}
+    return _scheme_values(scheme, env, code_distance)
 
 
 def _scheme_values(
-    scheme: QecScheme, times: dict[str, float], code_distance: int
+    scheme: QecScheme, env: dict[str, float], code_distance: int
 ) -> tuple[float, int]:
-    """:func:`evaluate_scheme_formulas` with the operation-time bindings
-    (``params.time_variables()``) already built, for callers that
-    evaluate many distances of one qubit."""
-    env = {**times, "codeDistance": float(code_distance)}
+    """:func:`evaluate_scheme_formulas` in ``env``, which binds the
+    operation times and ``codeDistance`` (``code_distance``) and nothing
+    else, for callers that keep the environment as a row of their own."""
     cycle_time = formulas.evaluate(scheme.logical_cycle_time, env)
     footprint = formulas.evaluate(scheme.physical_qubits_per_logical_qubit, env)
     if not (0.0 < cycle_time < math.inf and 0.0 < footprint < math.inf):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -44,7 +44,7 @@ from .errors import (
     _shown,
 )
 from .formulas import FormulaExpr
-from .qec import PhysicalQubitParams, QecScheme, _scheme_values
+from .qec import PhysicalQubitParams, QecScheme, _scheme_values, _times
 
 __all__ = [
     "Applicability",
@@ -238,12 +238,15 @@ def search_pipeline(
     filled lazily: a code distance maps to the variables of a round at that
     distance (None where the scheme rejects distance 1), and None to the
     base variables, which the error formulas of a distance-free unit read.
-    A row's ``inputErrorRate`` is written just before each evaluation.
-    A branch whose cost formulas do not read ``inputErrorRate`` has the
-    same raw qubits and duration in every chain; they are memoized per
-    search the first time the branch gets that far, so failure, output
-    and costs are still evaluated, and any formula error raised, in the
-    order of a search without the memo.
+    Each distance builds one row: the scheme's formulas run in it while it
+    holds only the operation times and ``codeDistance``, and it then gains
+    ``cliffordErrorRate`` and the two scheme values.  A row's
+    ``inputErrorRate`` is written just before each evaluation.  A branch
+    whose cost formulas do not read ``inputErrorRate`` has the same raw
+    qubits and duration in every chain; they are memoized per search,
+    with the narrowest of them, the first time the branch gets that far,
+    so failure, output and costs are still evaluated, and any formula
+    error raised, in the order of a search without the memo.
 
     Two bounds drop work that cannot win, so the search stays exact.  A
     round is dropped when even one unit of it is wider than the best cap
@@ -289,25 +292,27 @@ def search_pipeline(
     if not 0.0 < required_error < 1.0:
         raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
 
-    times = params.time_variables()
-    base = {**times, "cliffordErrorRate": params.clifford_error_rate}
-    table: dict[Optional[int], Optional[dict[str, float]]] = {None: base}
+    times = _times(params)
+    clifford = params.clifford_error_rate
+    table: dict[Optional[int], Optional[dict[str, float]]] = {
+        None: {**times, "cliffordErrorRate": clifford}
+    }
 
     def variables_at(distance: Optional[int]) -> Optional[dict[str, float]]:
         if distance not in table:
+            # the scheme's formulas see the times and the distance only
+            row = {**times, "codeDistance": float(distance)}
             try:
-                cycle_time, footprint = _scheme_values(scheme, times, distance)
+                cycle_time, footprint = _scheme_values(scheme, row, distance)
             except (ConfigError, FormulaDomainError, DivisionByZeroError):
                 if distance != 1:  # QecScheme's rule: no physical-level round
                     raise
-                table[distance] = None
+                row = None
             else:
-                table[distance] = {
-                    **base,
-                    "codeDistance": float(distance),
-                    "physicalQubitsPerLogicalQubit": float(footprint),
-                    "logicalCycleTime": cycle_time,
-                }
+                row["cliffordErrorRate"] = clifford
+                row["physicalQubitsPerLogicalQubit"] = float(footprint)
+                row["logicalCycleTime"] = cycle_time
+            table[distance] = row
         return table[distance]
 
     # (unit, distance its errors are evaluated at or None, distance options,
@@ -326,7 +331,8 @@ def search_pipeline(
         else:
             branches.append((unit, None, distances, fixed_cost))
     # branch index -> its available (raw duration, unit qubits, distance)
-    costs: dict[int, list[tuple[float, int, int]]] = {}
+    # and the qubits of the narrowest of them
+    costs: dict[int, tuple[list[tuple[float, int, int]], int]] = {}
     min_inputs = min(unit.num_input_ts for unit in units)
 
     best_key: Optional[tuple] = None
@@ -387,8 +393,8 @@ def search_pipeline(
             output = formulas.evaluate(unit.output_error_rate, env)
             if not 0.0 < output < 1.0:
                 continue
-            raw = costs.get(index)
-            if raw is None:
+            memo = costs.get(index)
+            if memo is None:
                 raw = []
                 for d in distances:
                     env = variables_at(d)
@@ -401,12 +407,13 @@ def search_pipeline(
                     # as a non-positive one does
                     if 1.0 <= qubits < math.inf and 0.0 < duration < math.inf:
                         raw.append((duration, math.ceil(qubits), d))
+                # any completion needs at least one unit per round
+                memo = raw, min([q for _, q, _ in raw], default=0)
                 if fixed_cost:
-                    costs[index] = raw
+                    costs[index] = memo
+            raw, narrowest = memo
             if not raw:
                 continue
-            # any completion needs at least one unit per round
-            narrowest = min(q for _, q, _ in raw)
             if best_key is not None and narrowest > best_key[0]:
                 continue
             options = [(duration / (1.0 - failure), q, d) for duration, q, d in raw]
@@ -473,7 +480,7 @@ def size_fleet(
     if not 0.0 < algorithm_runtime < math.inf:
         raise ConfigError(f"runtime must be positive and finite, got {algorithm_runtime!r} ns")
     if total_t_states == 0:
-        return replace(plan, num_copies=0, runs_per_copy=0), 1.0
+        return _sized(plan, 0, 0), 1.0
     constraints = constraints or TFactoryConstraints()
     duration = plan.duration_per_run
     per_run = plan.t_states_per_run
@@ -488,7 +495,7 @@ def size_fleet(
         copies = -(-total_t_states // (runs * per_run))
         max_copies = constraints.max_t_factory_copies
         if max_copies is None or copies <= max_copies:
-            return replace(plan, num_copies=copies, runs_per_copy=runs), 1.0
+            return _sized(plan, copies, runs), 1.0
 
     if constraints.max_t_factory_copies is None:
         raise RuntimeTooShortError(duration, algorithm_runtime)
@@ -506,4 +513,17 @@ def size_fleet(
         )
     slowdown = max(slowdown, 1.0)
     copies = -(-total_t_states // (needed_runs * per_run))
-    return replace(plan, num_copies=copies, runs_per_copy=needed_runs), slowdown
+    return _sized(plan, copies, needed_runs), slowdown
+
+
+def _sized(plan: TFactoryPlan, num_copies: int, runs_per_copy: int) -> TFactoryPlan:
+    """``plan`` with its fleet filled in."""
+    return TFactoryPlan(
+        plan.rounds,
+        plan.output_error_rate,
+        plan.duration_per_run,
+        plan.physical_qubits_per_copy,
+        plan.t_states_per_run,
+        num_copies,
+        runs_per_copy,
+    )

@@ -587,6 +587,22 @@ def test_an_evaluated_tree_equals_and_hashes_like_a_fresh_parse():
     assert copy == tree and formulas.evaluate(copy, env) == formulas.evaluate(tree, env)
 
 
+def test_a_tree_with_its_variables_kept_equals_and_hashes_like_a_fresh_parse():
+    source = "log2(inputErrorRate) * codeDistance + sqrt(-codeDistance ^ 2) / cliffordErrorRate"
+    tree = parse(source)
+    names = formulas.variables(tree)
+    assert names == {"inputErrorRate", "codeDistance", "cliffordErrorRate"}
+    assert formulas.variables(tree) is names  # kept, not walked again
+    fresh = formulas._Parser(source).parse()  # built anew, not the kept tree
+    assert fresh is not tree and not hasattr(fresh, "_variables")
+    assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
+    assert formulas.variables(fresh) == names
+    # pickling leaves the kept set behind; the copy walks itself again
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and not hasattr(copy, "_variables")
+    assert formulas.variables(copy) == names
+
+
 # ---------------------------------------------------------------------------
 # the precedence-climbing parser against the recursive descent it replaced
 

@@ -222,6 +222,59 @@ def test_eight_unit_search_evaluates_no_more_formulas_than_recorded(monkeypatch)
     assert 0 < calls <= 106_452
 
 
+# formulas.evaluate calls made by one run of each job case, as recorded
+# while every factory search filled a distance table of its own.  A change
+# that does the same work keeps them; one that evaluates fewer formulas
+# (say a table shared across jobs) re-records them and says so.
+EVALUATIONS = {
+    "above_threshold": 0,
+    "copy_limit_slowdown": 108,
+    "distance_dependent_units": 350,
+    "distance_exhausted": 0,
+    "distance_free_units": 186,
+    "eight_units_d51": 106_452,
+    "estimate_table": 112,
+    "frontier_custom_units": 80,
+    "frontier_plan_fails_table": 112,
+    "frontier_sizing_fails_low": 108,
+    "frontier_t_free": 2,
+    "gate_ns_e3_counts": 110,
+    "gate_ns_e4_trace": 108,
+    "gate_us_e3_post_layout": 110,
+    "gate_us_e4_counts": 108,
+    "logical_only_units": 100,
+    "maj_ns_e4_counts": 112,
+    "maj_ns_e6_post_layout": 112,
+    "no_feasible_pipeline": 112,
+    "runtime_too_short": 108,
+    "sweep_error_row": 110,
+    "trace_crlf": 110,
+    "trace_double_alloc_then_bad_json": 0,
+    "trace_use_after_release": 0,
+}
+
+
+def test_every_job_case_has_a_recorded_evaluation_count():
+    assert set(EVALUATIONS) == {name for name in CASES if not name.startswith("profiles")}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_each_job_case_evaluates_the_recorded_formulas(name, monkeypatch):
+    monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
+    calls = 0
+    evaluate = formulas.evaluate
+
+    def counted(expr, env):
+        nonlocal calls
+        calls += 1
+        return evaluate(expr, env)
+
+    monkeypatch.setattr(formulas, "evaluate", counted)  # where tfactory and qec look it up
+    expected = json.loads((GOLDEN / "expected" / f"{name}.json").read_text())
+    assert run_case(name) == expected
+    assert calls == EVALUATIONS[name]
+
+
 def test_concurrent_searches_keep_their_distance_tables_to_themselves():
     # each search writes inputErrorRate into the rows of its own table, so
     # searches running on threads at once must give the sequential reports

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import ftqc_estimator
-from ftqc_estimator import tfactory
+from ftqc_estimator import qec, tfactory
 from ftqc_estimator.counts import LogicalCounts
 from ftqc_estimator.errors import (
+    AboveThresholdError,
     ConfigError,
     EstimationStageError,
     InvalidPartitionError,
@@ -334,6 +335,32 @@ class TestReportInvariants:
         assert excinfo.value.stage == "t-factory-pipeline"
         assert isinstance(excinfo.value.cause, NoFeasiblePipelineError)
 
+    def test_stage_error_is_raised_from_its_cause(self):
+        with pytest.raises(EstimationStageError) as excinfo:
+            anchor_report(qubit_params=majorana_params(clifford_error_rate=0.5))
+        error = excinfo.value
+        assert isinstance(error.cause, AboveThresholdError)
+        assert error.__cause__ is error.cause
+        assert str(error) == f"[code-distance] {error.cause}"
+
+    def test_non_estimator_error_passes_through_untagged(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("not an engine failure")
+
+        monkeypatch.setattr(qec, "compute_code_distance", broken)
+        with pytest.raises(RuntimeError, match="^not an engine failure$") as excinfo:
+            anchor_report()
+        assert type(excinfo.value) is RuntimeError
+        # frontier reports engine failures only, so it lets it through too
+        with pytest.raises(RuntimeError, match="^not an engine failure$"):
+            frontier(
+                post_layout=PostLayoutInput(ANCHOR_QUBITS, ANCHOR_DEPTH),
+                slowdown_grid=[1.0, 2.0],
+                qubit_params=majorana_params(),
+                qec_scheme=FLOQUET_CODE,
+                error_budget=1e-4,
+            )
+
     def test_scheme_failing_at_a_tabulated_distance_fails_the_factory_search(self):
         # the footprint turns negative only at 61, a distance the algorithm
         # does not need but the factory search tabulates
@@ -494,6 +521,21 @@ class TestFrontierPlansOnce:
                 estimate(counts, slowdown=factor, **kwargs)
             assert str(raised.value) == str(error)
             assert error.stage == "t-factory-sizing"
+
+    def test_tagged_planning_failure_is_reported_for_every_factor(self):
+        counts, kwargs = TestFrontier().t_heavy(
+            qubit_params=gate_params(clifford_error_rate=0.5)
+        )
+        result = frontier(counts, slowdown_grid=[1.0, 2.0, 4.0], **kwargs)
+        assert result.points == ()
+        assert [factor for factor, _ in result.errors] == [1.0, 2.0, 4.0]
+        first = result.errors[0][1]
+        for _, error in result.errors:
+            assert error is first  # one plan, so one failure
+            assert isinstance(error, EstimationStageError)
+            assert error.stage == "code-distance"
+            assert isinstance(error.cause, AboveThresholdError)
+            assert error.__cause__ is error.cause
 
     def test_planning_failure_is_reported_for_every_factor(self):
         budget = {"total": 1e-3, "logical": 1e-3, "tStates": 0, "rotations": 0}

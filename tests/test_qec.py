@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -87,6 +88,24 @@ class TestPhysicalQubitParams:
             PhysicalQubitParams.from_mapping(
                 {"instructionSet": "majorana", "swapTime": 10}
             )
+
+    def test_kept_time_bindings_stay_invisible(self):
+        params, fresh = gate_params(), gate_params()
+        evaluate_scheme_formulas(SURFACE_CODE, params, 3)  # keeps the bindings on params
+        assert hasattr(params, "_times") and not hasattr(fresh, "_times")
+        assert params == fresh and hash(params) == hash(fresh) and repr(params) == repr(fresh)
+        assert params.as_mapping() == fresh.as_mapping()
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and not hasattr(copy, "_times")
+        # time_variables() hands out a fresh dict, so changing it changes
+        # no formula environment
+        times = params.time_variables()
+        times["cliffordErrorRate"] = 0.5
+        assert params.time_variables() == fresh.time_variables()
+        assert "cliffordErrorRate" not in params.time_variables()
+        assert evaluate_scheme_formulas(SURFACE_CODE, params, 3) == evaluate_scheme_formulas(
+            SURFACE_CODE, fresh, 3
+        )
 
 
 class TestEffectiveErrorRate:

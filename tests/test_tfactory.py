@@ -187,6 +187,23 @@ class TestSearchPipeline:
         )
         assert {r.unit_name for r in plan.rounds} == {"15-to-1"}
 
+    @pytest.mark.parametrize(
+        "name",
+        ["cliffordErrorRate", "inputErrorRate", "physicalQubitsPerLogicalQubit", "logicalCycleTime"],
+    )
+    def test_scheme_formulas_see_only_times_and_distance(self, name):
+        # a distance's row holds the unit variables too, but only after the
+        # scheme's formulas have run in it
+        scheme = dataclasses.replace(
+            FLOQUET_CODE,
+            logical_cycle_time=formulas.parse_formula(
+                f"3 * codeDistance * oneQubitMeasurementTime + 0 * {name}"
+            ),
+        )
+        with pytest.raises(UnboundVariableError) as raised:
+            search_pipeline((DEFAULT_15_TO_1,), scheme, majorana_params(), 1e-4, 1e-10)
+        assert raised.value.name == name
+
     def test_duration_includes_expected_retries(self):
         plan = search_pipeline(
             (DEFAULT_15_TO_1,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10
