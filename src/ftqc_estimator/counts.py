@@ -18,10 +18,12 @@ need a list call ``list()``.  One decoder turns a file's lines into ops
 and qubit ids for the reader, for :func:`parse_trace_lines` and for the
 counting loop: records in the two spellings ``json.dumps`` writes are
 decoded there without ``json.loads``, to what it would give, and any
-other line goes through ``json.loads``.  :func:`count_trace` handed a
-reader from which no event has been taken counts the decoder's output
-straight from the file, with no event built, so the counts and the
-errors are those of counting the reader's events.
+other line goes through ``json.loads``.  The decoder maps id texts to
+ints through a bounded table that lives for one decode, so an id's text
+is checked and converted once, not on every line that names it.
+:func:`count_trace` handed a reader from which no event has been taken
+counts the decoder's output straight from the file, with no event built,
+so the counts and the errors are those of counting the reader's events.
 """
 
 from __future__ import annotations
@@ -63,21 +65,24 @@ _THREE_QUBIT = frozenset({"ccz", "ccix"})
 _ONE_ID_OPS = EVENT_KINDS - _THREE_QUBIT
 
 #: Characters read from a trace file at a time.
-_BLOCK_SIZE = 1 << 16
+_BLOCK_SIZE = 1 << 15
 
 # Record heads as json.dumps writes them, with default and with compact
-# separators, mapped to the op and to the grammar of the qubit ids between
-# "[" and the closing "]}": ids of at most 18 ASCII digits without sign or
-# leading zero, joined by the head's separator, as many as the op takes.
-# A line that matches decodes to the event json.loads would give; any
-# other goes through json.loads.
-_ID = "(?:0|[1-9][0-9]{0,17})"
-_MORE_IDS = {"alloc": "*", "release": "*", "clifford": "?", "ccz": "{2}", "ccix": "{2}"}
+# separators, mapped to the op, its id separator and its numbers of ids.  A
+# line of a head, ids of at most 18 ASCII digits without sign or leading
+# zero, and "]}" decodes to the event json.loads would give; any other line
+# goes through json.loads.
+_ID = re.compile("0|[1-9][0-9]{0,17}")
+_ID_COUNTS = {"alloc": range(1, 1 << 63), "release": range(1, 1 << 63),
+              "clifford": range(1, 3), "ccz": range(3, 4), "ccix": range(3, 4)}
 _CANONICAL_HEADS = {
-    head.format(op=op): (op, re.compile(f"{_ID}(?:{sep}{_ID}){_MORE_IDS.get(op, '{0}')}"))
+    head.format(op=op): (op, sep, _ID_COUNTS.get(op, range(1, 2)))
     for op in EVENT_KINDS
     for head, sep in (('{{"op": "{op}", "q": ', ", "), ('{{"op":"{op}","q":', ","))
 }
+
+#: Most id texts one decode keeps in its table of ids.
+_ID_TABLE_SIZE = 1 << 13
 
 
 class TraceEvent(NamedTuple):
@@ -294,35 +299,42 @@ def _decoded(blocks: Iterable[Iterable[str]], source: str) -> Iterator[tuple]:
     lines; errors name ``source`` and the line's number.
 
     A line spelled as one of ``_CANONICAL_HEADS`` is decoded here, any other
-    by :func:`_decode`.  ``ids`` is an int for one canonical id that fits
-    ``op``, else a tuple; ``checked`` marks canonical ids known to fit
-    ``op``.  A :class:`TraceFormatError` is raised after the rest of
+    by :func:`_decode`.  Ids are looked up in a table from text to int,
+    private to this decode and emptied past ``_ID_TABLE_SIZE`` texts; only a
+    text not in it is checked against ``_ID``.  ``ids`` is an int for one
+    id of an op that takes one, else a tuple; ``checked`` marks ids known to
+    fit ``op``.  A :class:`TraceFormatError` is raised after the rest of
     ``blocks`` has been taken, so that a later read or decode error wins.
     """
+    table: dict[str, int] = {}
     line_number = 0
     try:
         for lines in blocks:
             for line in lines:
                 line_number += 1
-                line = line.strip()
-                if not line:
-                    continue
-                head, _, ids = line.partition("[")
+                head, _, rest = line.partition("[")
                 spelling = _CANONICAL_HEADS.get(head)
-                if spelling is not None and ids.endswith("]}"):
-                    op, canonical_ids = spelling
-                    ids = ids[:-2]
-                    # one id, the common case, is checked without the regex
-                    if (ids.isdigit() and ids.isascii() and ids[0] != "0" and len(ids) < 19
-                            and op not in _THREE_QUBIT):
-                        yield op, int(ids), True
+                body, tail, end = rest.partition("]}")
+                if spelling is not None and tail and not end.strip():
+                    op, sep, id_counts = spelling
+                    qubit = table.get(body)
+                    if qubit is not None and op in _ONE_ID_OPS:
+                        yield op, qubit, True
                         continue
-                    if canonical_ids.fullmatch(ids):
-                        # the grammar took as many ids as the op takes
-                        qubits = tuple(map(int, ids.split(",")))
-                        yield op, qubits, op not in _THREE_QUBIT or len(set(qubits)) == 3
+                    texts = body.split(sep)
+                    qubits = tuple(map(table.get, texts))
+                    if None in qubits and all(map(_ID.fullmatch, texts)):
+                        qubits = tuple(map(int, texts))
+                        table.update(zip(texts, qubits))
+                        if len(table) > _ID_TABLE_SIZE:
+                            table.clear()
+                    if None not in qubits:
+                        yield op, qubits, len(qubits) in id_counts and (
+                            op not in _THREE_QUBIT or len(set(qubits)) == 3)
                         continue
-                yield (*_decode(line, f"{source}:{line_number}"), False)
+                line = line.strip()
+                if line:
+                    yield (*_decode(line, f"{source}:{line_number}"), False)
     except TraceFormatError:
         for _ in blocks:
             pass

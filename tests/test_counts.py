@@ -357,12 +357,19 @@ def test_canonical_spellings_take_the_fast_path(tmp_path, monkeypatch):
     ))
     expected = count_trace(list(read_trace(path)))
     assert expected.num_qubits == 6 and expected.ccz_count == 2 and expected.rotation_depth == 2
+    # the trace releases every id it allocates, so it may run again: each id
+    # text is met again, and looked up in the decode's id table
+    repeated = tmp_path / "repeated.jsonl"
+    repeated.write_text("\n".join([path.read_text()] * 3))
+    expected_repeated = count_trace(oracle_read(repeated))
+    assert expected_repeated.ccz_count == 3 * expected.ccz_count
 
     def refuse(text):
         raise AssertionError(f"json.loads called on {text!r}")
 
     monkeypatch.setattr(counts.json, "loads", refuse)
     assert len(list(parse_trace_lines(lines))) == len(lines)
+    assert len(list(parse_trace_lines(lines * 3))) == 3 * len(lines)
 
     def refuse_event(*args):
         raise AssertionError("an event was built")
@@ -370,6 +377,7 @@ def test_canonical_spellings_take_the_fast_path(tmp_path, monkeypatch):
     # counting the file takes the same decoder, and builds no event either
     monkeypatch.setattr(counts, "TraceEvent", refuse_event)
     assert count_trace(read_trace(path)) == expected
+    assert count_trace(read_trace(repeated)) == expected_repeated
 
 
 CANONICAL = [
@@ -751,3 +759,100 @@ def test_a_reader_is_counted_without_building_events(tmp_path, monkeypatch):
 
     monkeypatch.setattr(counts, "TraceEvent", refuse)
     assert count_trace(read_trace(path)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the id table of one decode: an id text met again decodes as it did first
+
+TABLE_IDS = ["0", "1", "2", "3", "12", "9" * 18]
+TABLE_SPELLINGS = ('{{"op": "{op}", "q": [{ids}]}}', ", "), ('{{"op":"{op}","q":[{ids}]}}', ",")
+
+
+def fitting_record(draw, ids):
+    op = draw(st.sampled_from(("t", "rz", "measure", "clifford", "ccz", "ccix")))
+    arity = 3 if op in ("ccz", "ccix") else draw(st.sampled_from((1, 2))) if op == "clifford" else 1
+    return op, draw(st.lists(ids, min_size=arity, max_size=arity, unique=True))
+
+
+def misfit_record(draw, ids):
+    shape = draw(st.sampled_from(("any", "three-qubit", "three-qubit on one id", "clifford", "t")))
+    if shape == "any":
+        return draw(st.sampled_from(sorted(counts.EVENT_KINDS))), draw(st.lists(ids, min_size=1, max_size=4))
+    if shape == "three-qubit":  # on a repeated id
+        a, b = draw(ids), draw(ids)
+        return draw(st.sampled_from(("ccz", "ccix"))), draw(st.permutations([a, b, a]))
+    if shape == "three-qubit on one id":
+        return draw(st.sampled_from(("ccz", "ccix"))), [draw(ids)]
+    # one id too many for the op
+    return shape, [draw(ids) for _ in range(3 if shape == "clifford" else 2)]
+
+
+@st.composite
+def table_traces(draw):
+    """A trace text over a few id texts, so that ids repeat, in both
+    spellings, with blank and padded lines and "\r\n" breaks.  Its records
+    all fit their ops, or one of them does not, or some ids are from
+    ``ODD_IDS``."""
+    kind = draw(st.sampled_from(("fit", "misfit", "odd ids")))
+    alphabet = TABLE_IDS
+    if kind == "odd ids":
+        alphabet = alphabet + draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=2))
+    ids = st.sampled_from(alphabet)
+    records = [("alloc", TABLE_IDS)]
+    records += [fitting_record(draw, ids) for _ in range(draw(st.integers(0, 30)))]
+    if kind == "misfit":
+        records.insert(draw(st.integers(1, len(records))), misfit_record(draw, ids))
+    lines = []
+    for op, qubits in records:
+        spelling, sep = draw(st.sampled_from(TABLE_SPELLINGS))
+        line = spelling.format(op=op, ids=sep.join(qubits))
+        lines.append(draw(st.sampled_from(("", " ", "\t"))) + line + draw(st.sampled_from(("", " "))))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(("", "  ", "\t"))))
+    return "".join(line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=table_traces())
+def test_id_texts_met_again_decode_as_the_first_time(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "table.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    expected_count = outcome(lambda: count_trace(oracle_read(path)))
+    expected_events = outcome(lambda: oracle_read(path))
+    for block in (1, 5, 1 << 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counts, "_BLOCK_SIZE", block)
+            assert outcome(lambda: count_trace(read_trace(path))) == expected_count
+            assert outcome(lambda: list(read_trace(path))) == expected_events
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3, 64])
+def test_a_bounded_id_table_counts_as_the_oracle(tmp_path, monkeypatch, bound):
+    monkeypatch.setattr(counts, "_ID_TABLE_SIZE", bound)
+    rng = random.Random(bound)
+    live, released = list(range(50)), []
+    events = [("alloc", live[:25]), ("alloc", live[25:])]
+    for _ in range(600):
+        op = rng.choice(("t", "rz", "measure", "clifford", "ccz", "ccix", "release", "alloc"))
+        if op == "release" and len(live) > 3:
+            released.append(live.pop(rng.randrange(len(live))))
+            events.append((op, [released[-1]]))
+        elif op == "alloc" and released:
+            live.append(released.pop(rng.randrange(len(released))))
+            events.append((op, [live[-1]]))
+        elif op not in ("release", "alloc"):
+            arity = 3 if op in ("ccz", "ccix") else rng.choice((1, 2)) if op == "clifford" else 1
+            events.append((op, rng.sample(live, arity)))
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(
+        json.dumps({"op": op, "q": q}, separators=rng.choice(((", ", ": "), (",", ":"))))
+        for op, q in events
+    ))
+    expected = count_trace(oracle_read(path))
+    assert expected.num_qubits == 50 and expected.rotation_count > 0
+    assert count_trace(read_trace(path)) == expected
+    assert list(read_trace(path)) == oracle_read(path)
+    # between two lines the table never holds more texts than the bound
+    decoded = counts._decoded(counts._blocks(path), str(path))
+    sizes = [len(decoded.gi_frame.f_locals["table"]) for _ in decoded]
+    assert max(sizes) == min(bound, 50)
