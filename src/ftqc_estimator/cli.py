@@ -17,7 +17,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -120,6 +119,8 @@ def cmd_sweep(
     out_csv_path: Optional[str],
 ) -> int:
     """Run a job once per value of one numeric field and emit a CSV table."""
+    import csv  # only sweep writes CSV: an import on first use keeps it out of startup
+
     if not values:
         raise ConfigError("sweep requires a non-empty values list")
     path = Path(job_template_path)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -45,6 +44,7 @@ from .errors import (
     _unreadable,
     read_file,
     read_record,
+    record,
 )
 
 __all__ = [
@@ -110,7 +110,7 @@ class TraceEvent(NamedTuple):
         return cls(op, tuple(qubits))
 
 
-@dataclass(frozen=True)
+@record
 class LogicalCounts(JsonRecord):
     """Pre-layout logical resource counts of a quantum program.
 

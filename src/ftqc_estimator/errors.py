@@ -3,10 +3,12 @@
 Every error raised deliberately by this package derives from
 :class:`EstimatorError`, so callers can distinguish engine failures from
 programming mistakes with a single ``except`` clause.  The readers below
-decode job JSON into typed values.  :class:`JsonRecord` reads and writes
-every record from its dataclass fields, each key the camelCase of its
-field's name, so a record's keys are spelled once, by its fields, and
-:func:`indented_json` writes records and documents as indented JSON.
+decode job JSON into typed values.  Every record is declared with
+:func:`record` and takes ``==``, ``hash`` and ``repr`` from :class:`Record`.
+:class:`JsonRecord` reads and writes every record from its dataclass
+fields, each key the camelCase of its field's name, so a record's keys are
+spelled once, by its fields, and :func:`indented_json` writes records and
+documents as indented JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from numbers import Real
@@ -275,12 +277,47 @@ def _unreadable(what: str, path, exc: Exception) -> ConfigError:
     return ConfigError(f"cannot read {what} {_shown(str(path))}: {_shown(str(exc))}")
 
 
+class Record:
+    """Mixin giving a dataclass declared with :func:`record` the ``==``,
+    ``hash`` and ``repr`` that ``dataclasses`` would generate for it: equal
+    only to an instance of the same class whose field tuple is equal, the
+    hash of that tuple, and ``Name(field=value, ...)`` in field order.
+    Written once here, they cost nothing per class at import."""
+
+    _field_names: tuple[str, ...] = ()  # set by record()
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._field_names])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+def record(cls: type) -> type:
+    """``cls``, a :class:`Record`, as a frozen dataclass: ``dataclasses``
+    generates its ``__init__`` and the frozen setters, and :class:`Record`
+    supplies the rest.  Give the class a docstring: without one,
+    ``dataclasses`` writes one from ``inspect.signature`` at import."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    cls._field_names = tuple(f.name for f in fields(cls))
+    return cls
+
+
 def _camel(name: str) -> str:
     head, *rest = name.split("_")
     return head + "".join(part.capitalize() for part in rest)
 
 
-class JsonRecord:
+class JsonRecord(Record):
     """Mixin giving a dataclass its JSON form, read and written from its
     fields: each field, in field order, under the camelCase of its name or
     under its entry in ``_RENAMED``.

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from math import isfinite, log2, sqrt
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
@@ -48,8 +47,10 @@ from .errors import (
     DivisionByZeroError,
     FormulaDomainError,
     FormulaSyntaxError,
+    Record,
     UnboundVariableError,
     UnknownFunctionError,
+    record,
 )
 
 __all__ = [
@@ -93,7 +94,7 @@ DISTILLATION_VARIABLES = QEC_SCHEME_VARIABLES | frozenset(
 )
 
 
-class _Node:
+class _Node(Record):
     """Base of the tree nodes.  ``str`` gives a node's source text.  A
     tree evaluated once keeps its compiled function (see :func:`evaluate`),
     and one walked by :func:`variables` its variable names, on its root as
@@ -106,29 +107,39 @@ class _Node:
         return {k: v for k, v in self.__dict__.items() if k not in ("_run", "_variables")}
 
 
-@dataclass(frozen=True)
+@record
 class Number(_Node):
+    """A numeric literal."""
+
     value: float
 
 
-@dataclass(frozen=True)
+@record
 class Variable(_Node):
+    """A variable, bound by the environment of an evaluation."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Call(_Node):
+    """A call of one of :data:`FUNCTIONS` on one argument."""
+
     func: str
     arg: "FormulaExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Neg(_Node):
+    """A leading minus."""
+
     operand: "FormulaExpr"
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(_Node):
+    """A binary operation."""
+
     op: str  # one of "+", "-", "*", "/", "^"
     left: "FormulaExpr"
     right: "FormulaExpr"

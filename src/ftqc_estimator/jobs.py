@@ -9,13 +9,12 @@ rotation-synthesis constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from . import pipeline, profiles
 from .counts import LogicalCounts, count_trace, read_trace
-from .errors import ConfigError, JsonRecord, read_file
+from .errors import ConfigError, JsonRecord, read_file, record
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .pipeline import ErrorBudget, PostLayoutInput
 from .qec import PhysicalQubitParams, QecScheme, get_scheme
@@ -25,7 +24,7 @@ from .tfactory import DistillationUnit, TFactoryConstraints
 __all__ = ["JobSpec", "JobInput", "load_job", "job_from_mapping", "run_job", "run_frontier"]
 
 
-@dataclass(frozen=True)
+@record
 class JobInput(JsonRecord):
     """Exactly one of a trace file, pre-layout counts, or post-layout aggregates."""
 
@@ -44,7 +43,7 @@ class JobInput(JsonRecord):
             )
 
 
-@dataclass(frozen=True)
+@record
 class JobSpec(JsonRecord):
     """An estimation job; :func:`job_from_mapping` resolves its names and trace path."""
 

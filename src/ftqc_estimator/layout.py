@@ -14,10 +14,9 @@ domain raises :class:`ConfigError`, a synthesis budget outside (0, 1)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .counts import LogicalCounts
-from .errors import ConfigError, InvalidBudgetError, JsonRecord
+from .errors import ConfigError, InvalidBudgetError, JsonRecord, Record, record
 
 __all__ = [
     "RotationSynthesisConstants",
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class RotationSynthesisConstants(JsonRecord):
     """Scaling constants of the per-rotation T-cost model.
 
@@ -46,8 +45,8 @@ class RotationSynthesisConstants(JsonRecord):
 DEFAULT_SYNTHESIS = RotationSynthesisConstants()
 
 
-@dataclass(frozen=True)
-class AlgorithmicLogicalEstimate:
+@record
+class AlgorithmicLogicalEstimate(Record):
     """Post-layout logical requirements of an algorithm."""
 
     logical_qubits_post_layout: int

@@ -16,7 +16,6 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import layout, qec, tfactory
@@ -27,6 +26,8 @@ from .errors import (
     EstimatorError,
     InvalidPartitionError,
     JsonRecord,
+    Record,
+    record,
 )
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .qec import PhysicalQubitParams, QecScheme
@@ -69,7 +70,7 @@ ASSUMPTIONS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class PostLayoutInput(JsonRecord):
     """Directly supplied post-layout aggregates.
 
@@ -243,8 +244,11 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     return size
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+@record
+class FrontierPoint(Record):
+    """One point of a frontier: the slowdown factor, the physical qubits and
+    runtime at it, and the full report."""
+
     slowdown: float
     physical_qubits: int
     runtime: float
@@ -258,8 +262,11 @@ class FrontierPoint:
         }
 
 
-@dataclass(frozen=True)
-class FrontierResult:
+@record
+class FrontierResult(Record):
+    """The Pareto-optimal points of a frontier, and the error met at each
+    factor that could not be estimated."""
+
     points: tuple[FrontierPoint, ...]
     errors: tuple[tuple[float, EstimatorError], ...]
 

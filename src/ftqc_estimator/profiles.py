@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, JsonRecord, _shown, read_file
+from .errors import ConfigError, JsonRecord, _shown, read_file, record
 from .qec import PhysicalQubitParams
 
 __all__ = [
@@ -41,8 +41,11 @@ BUILTIN_PROFILE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class HardwareProfile(JsonRecord):
+    """A named set of physical qubit parameters and the QEC scheme a job on
+    it uses by default."""
+
     name: str
     description: str = field(default="", kw_only=True)
     qubit_params: PhysicalQubitParams

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .errors import (
     InvalidPartitionError,
     JsonRecord,
     _shown,
+    record,
 )
 from .formulas import FormulaExpr
 
@@ -68,7 +68,7 @@ _REQUIRED_TIMES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalQubitParams(JsonRecord):
     """Operation times (ns) and error rates of the physical qubits.
 
@@ -157,7 +157,7 @@ def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
 _DISTANCE_CAP = 101
 
 
-@dataclass(frozen=True)
+@record
 class QecScheme(JsonRecord):
     """A quantum error correction scheme.
 
@@ -231,7 +231,7 @@ def get_scheme(name: str) -> QecScheme:
         ) from None
 
 
-@dataclass(frozen=True)
+@record
 class LogicalQubitProfile(JsonRecord):
     """Per-logical-qubit costs of a scheme at a chosen code distance."""
 

@@ -12,11 +12,17 @@ The assumed error budget is an :class:`ErrorBudget`, the record a job's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .counts import LogicalCounts
-from .errors import ConfigError, InvalidPartitionError, JsonRecord, indented_json, read_number
+from .errors import (
+    ConfigError,
+    InvalidPartitionError,
+    JsonRecord,
+    indented_json,
+    read_number,
+    record,
+)
 from .qec import LogicalQubitProfile, PhysicalQubitParams
 from .tfactory import TFactoryPlan
 
@@ -28,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ErrorBudget(JsonRecord):
     """Total failure-rate budget, optionally with explicit shares.
 
@@ -63,7 +69,7 @@ class ErrorBudget(JsonRecord):
         return cls(total=read_number(value, "errorBudget"))
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalResourceEstimates(JsonRecord):
     """Headline outputs: runtime (ns), rQOPS, and physical qubits."""
 
@@ -72,8 +78,10 @@ class PhysicalResourceEstimates(JsonRecord):
     physical_qubits: int
 
 
-@dataclass(frozen=True)
+@record
 class ResourceEstimatesBreakdown(JsonRecord):
+    """The logical and physical quantities a report's headline is made of."""
+
     logical_qubits_post_layout: int
     algorithmic_depth: int
     num_t_states: int
@@ -85,7 +93,7 @@ class ResourceEstimatesBreakdown(JsonRecord):
     slowdown_applied: float
 
 
-@dataclass(frozen=True)
+@record
 class EstimateReport(JsonRecord):
     """Full estimation result.
 

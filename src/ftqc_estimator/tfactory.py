@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -42,6 +41,7 @@ from .errors import (
     NoFeasiblePipelineError,
     RuntimeTooShortError,
     _shown,
+    record,
 )
 from .formulas import FormulaExpr
 from .qec import PhysicalQubitParams, QecScheme, _scheme_values, _times
@@ -72,7 +72,7 @@ class Applicability(str, Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
+@record
 class DistillationUnit(JsonRecord):
     """One distillation stage, e.g. a 15-to-1 round.
 
@@ -127,7 +127,7 @@ DEFAULT_15_TO_1 = DistillationUnit.from_strings(
 )
 
 
-@dataclass(frozen=True)
+@record
 class FactoryRound(JsonRecord):
     """A round of a chain: its unit, by name, at a code distance and width."""
 
@@ -136,7 +136,7 @@ class FactoryRound(JsonRecord):
     num_parallel_units: int
 
 
-@dataclass(frozen=True)
+@record
 class TFactoryPlan(JsonRecord):
     """A distillation chain plus the fleet that executes it.
 
@@ -169,7 +169,7 @@ EMPTY_PLAN = TFactoryPlan(
 )
 
 
-@dataclass(frozen=True)
+@record
 class TFactoryConstraints(JsonRecord):
     """User limits on the factory fleet.
 
@@ -247,6 +247,10 @@ def search_pipeline(
     with the narrowest of them, the first time the branch gets that far,
     so failure, output and costs are still evaluated, and any formula
     error raised, in the order of a search without the memo.
+    Likewise a unit that branches per distance but whose failure formula
+    reads no distance variable fails alike at every distance: a visit
+    evaluates that formula at the unit's first branch only, where an error
+    it raises would be met first, and its other branches reuse the value.
 
     Two bounds drop work that cannot win, so the search stays exact.  A
     round is dropped when even one unit of it is wider than the best cap
@@ -316,20 +320,23 @@ def search_pipeline(
         return table[distance]
 
     # (unit, distance its errors are evaluated at or None, distance options,
-    # whether its costs ignore the input error)
+    # whether its costs ignore the input error, and the unit's position if
+    # it branches per distance while its failure formula reads no distance)
     branches = []
-    for unit in units:
+    for position, unit in enumerate(units):
         distances = unit.allowed_distances(scheme.max_code_distance)
-        used = formulas.variables(unit.failure_probability) | formulas.variables(
-            unit.output_error_rate
+        failure_reads_distance = bool(
+            formulas.variables(unit.failure_probability) & _DISTANCE_VARIABLES
         )
+        output_reads_distance = formulas.variables(unit.output_error_rate) & _DISTANCE_VARIABLES
         fixed_cost = "inputErrorRate" not in (
             formulas.variables(unit.physical_qubits) | formulas.variables(unit.duration)
         )
-        if used & _DISTANCE_VARIABLES:
-            branches.extend((unit, d, (d,), fixed_cost) for d in distances)
+        if failure_reads_distance or output_reads_distance:
+            shared = None if failure_reads_distance else position
+            branches.extend((unit, d, (d,), fixed_cost, shared) for d in distances)
         else:
-            branches.append((unit, None, distances, fixed_cost))
+            branches.append((unit, None, distances, fixed_cost, None))
     # branch index -> its available (raw duration, unit qubits, distance)
     # and the qubits of the narrowest of them
     costs: dict[int, tuple[list[tuple[float, int, int]], int]] = {}
@@ -382,12 +389,20 @@ def search_pipeline(
         # (lookahead bound, branch index, round, its output error) of each
         # prefix to extend once every branch here has been scored
         later = []
-        for index, (unit, at, distances, fixed_cost) in enumerate(branches):
+        # unit position -> the failure of a unit whose failure formula reads
+        # no distance, from its first branch here: the same at every distance
+        failures: dict[int, float] = {}
+        for index, (unit, at, distances, fixed_cost, shared) in enumerate(branches):
             env = variables_at(at)
             if env is None:
                 continue
             env["inputErrorRate"] = error
-            failure = formulas.evaluate(unit.failure_probability, env)
+            if shared is None:
+                failure = formulas.evaluate(unit.failure_probability, env)
+            else:
+                failure = failures.get(shared)
+                if failure is None:
+                    failure = failures[shared] = formulas.evaluate(unit.failure_probability, env)
             if not 0.0 <= failure < 1.0:
                 continue
             output = formulas.evaluate(unit.output_error_rate, env)

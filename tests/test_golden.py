@@ -219,7 +219,7 @@ def test_eight_unit_search_evaluates_no_more_formulas_than_recorded(monkeypatch)
 
     monkeypatch.setattr(formulas, "evaluate", counted)  # where tfactory and qec look it up
     run_job(job)
-    assert 0 < calls <= 106_452
+    assert 0 < calls <= 55_572
 
 
 # formulas.evaluate calls made by one run of each job case, as recorded
@@ -229,12 +229,12 @@ def test_eight_unit_search_evaluates_no_more_formulas_than_recorded(monkeypatch)
 EVALUATIONS = {
     "above_threshold": 0,
     "copy_limit_slowdown": 108,
-    "distance_dependent_units": 350,
+    "distance_dependent_units": 254,
     "distance_exhausted": 0,
     "distance_free_units": 186,
-    "eight_units_d51": 106_452,
+    "eight_units_d51": 55_572,
     "estimate_table": 112,
-    "frontier_custom_units": 80,
+    "frontier_custom_units": 68,
     "frontier_plan_fails_table": 112,
     "frontier_sizing_fails_low": 108,
     "frontier_t_free": 2,
@@ -242,7 +242,7 @@ EVALUATIONS = {
     "gate_ns_e4_trace": 108,
     "gate_us_e3_post_layout": 110,
     "gate_us_e4_counts": 108,
-    "logical_only_units": 100,
+    "logical_only_units": 89,
     "maj_ns_e4_counts": 112,
     "maj_ns_e6_post_layout": 112,
     "no_feasible_pipeline": 112,

@@ -1,7 +1,10 @@
 """Public API: each module's ``__all__`` and the names the package exports."""
 
 import ast
+import dataclasses
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,18 @@ def star_names(module):
     if hasattr(module, "__all__"):
         return module.__all__
     return [name for name in vars(module) if not name.startswith("_")]
+
+
+def package_dataclasses():
+    """Every dataclass the package's modules define, in module order."""
+    return [
+        value
+        for module in MODULES.values()
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and dataclasses.is_dataclass(value)
+    ]
 
 
 def package_imports():
@@ -77,3 +92,41 @@ def test_no_module_reads_generator_or_frame_internals(name):
     # what the package does must not hang on CPython's generator and frame internals
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     assert sorted(FRAME_NAMES.intersection(names_read(tree))) == []
+
+
+# Importing the package should generate only what each dataclass needs:
+# ``==``, ``hash`` and ``repr`` come from errors.Record, and a class
+# without a docstring makes dataclasses build one from its signature.
+
+
+@pytest.mark.parametrize("cls", package_dataclasses(), ids=lambda cls: cls.__name__)
+def test_dataclass_generates_no_eq_hash_or_repr(cls):
+    assert [name for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)] == []
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_dataclass_has_its_own_docstring(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    dataclass_names = {
+        cls.__name__ for cls in package_dataclasses() if cls.__module__ == f"ftqc_estimator.{name}"
+    }
+    undocumented = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name in dataclass_names
+        and not ast.get_docstring(node)
+    ]
+    assert undocumented == []
+
+
+def test_importing_the_cli_leaves_csv_for_sweep():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ftqc_estimator.cli; "
+        "print('csv' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -607,6 +607,11 @@ class TestSearchErrorOrder:
         assert plan.physical_qubits_per_copy == 150
 
 
+# failure formulas: distance-free, then one that falls with the distance
+_FAILURES = (
+    "{f} * inputErrorRate",
+    "{f} * inputErrorRate * 3 / (codeDistance + 2)",
+)
 # error formulas: distance-free, then distance-dependent (a 1/d factor, or
 # an error floor that falls with the distance as in the crossing model)
 _OUTPUT_ERRORS = (
@@ -636,6 +641,7 @@ def unit_sets(draw):
             continue
         outputs = draw(st.integers(1, 4))
         values = dict(
+            f=draw(st.integers(1, 20)),
             c=draw(st.integers(1, 100)),
             p=draw(st.integers(2, 3)),
             q=draw(st.floats(5, 40)),
@@ -646,7 +652,7 @@ def unit_sets(draw):
                 name=f"unit-{index}",
                 num_input_ts=outputs + draw(st.integers(1, 16)),
                 num_output_ts=outputs,
-                failure_probability=f"{draw(st.integers(1, 20))} * inputErrorRate",
+                failure_probability=draw(st.sampled_from(_FAILURES)).format(**values),
                 output_error_rate=draw(st.sampled_from(_OUTPUT_ERRORS)).format(**values),
                 physical_qubits=draw(st.sampled_from(_QUBITS)).format(**values),
                 duration=draw(st.sampled_from(_DURATIONS)).format(**values),
@@ -680,6 +686,50 @@ class TestSearchMatchesOracleOnRandomUnits:
         assert plan.duration_per_run == pytest.approx(expected[1])
         assert len(plan.rounds) == expected[2]
         assert chosen_rounds(plan) == expected[3]
+
+
+@st.composite
+def tied_pairs(draw):
+    """A wide and a narrow physical-level unit, listed in that order, whose
+    two-round chains tie on (cap, duration, rounds) in either order, with
+    renamed copies of either listed after them.
+
+    From an input error of 1e-2 to a target of 5e-7: with ``a > b`` inputs
+    and ``a * k`` and ``b * k`` qubits, both chains run at cap
+    ``a * b * k``; narrow x 2 misses the target, narrow x 3
+    (``b ^ 3 * k``) and wide x 2 (``a ^ 2 * k``) are wider.  The narrow
+    prefix's lookahead bound ``b ^ 2 * k`` is below the wide one's
+    ``a * b * k``, so the ordered search scores narrow, wide first, yet
+    wide, narrow, first in unit-list order, must win.
+    """
+    narrow_inputs = draw(st.integers(3, 12))
+    wide_inputs = draw(st.integers(narrow_inputs + 1, narrow_inputs**2 - 1))
+    k = draw(st.integers(1, 20))
+    wide = physical_unit("wide", wide_inputs, 1, "0", "10 * inputErrorRate ^ 3",
+                         str(wide_inputs * k), str(draw(st.integers(1, 50))))
+    narrow = physical_unit("narrow", narrow_inputs, 1, "0", "inputErrorRate / 100",
+                           str(narrow_inputs * k), str(draw(st.integers(1, 50))))
+    copies = draw(st.lists(st.sampled_from((wide, narrow)), max_size=2))
+    return (wide, narrow) + tuple(
+        dataclasses.replace(unit, name=f"{unit.name}-copy-{i}") for i, unit in enumerate(copies)
+    )
+
+
+class TestEqualKeysBehindDifferentBounds:
+    @settings(max_examples=50, deadline=None)
+    @given(units=tied_pairs())
+    def test_chain_first_in_unit_order_wins(self, units):
+        data = FLOQUET_CODE.as_mapping()
+        data["maxCodeDistance"] = 13
+        scheme = QecScheme.from_mapping(data)
+        params = majorana_params(t_gate_error_rate=1e-2)
+        expected = oracle_search(units, scheme, params, 1e-2, 5e-7)
+        plan = search_pipeline(units, scheme, params, 1e-2, 5e-7)
+        assert chosen_rounds(plan) == expected[3] == [("wide", 1), ("narrow", 1)]
+        wide, narrow = units[:2]
+        cap = wide.num_input_ts * int(evaluate(narrow.physical_qubits, {}))
+        assert plan.physical_qubits_per_copy == expected[0] == cap
+        assert plan.duration_per_run == expected[1]
 
 
 # ---------------------------------------------------------------------------
