@@ -55,11 +55,18 @@ SWEEP_COLUMNS = (
 
 
 def _write_text(path: Optional[str], text: str) -> None:
+    """Write ``text`` to stdout, or as UTF-8 (the encoding job files are
+    read in) to the file at ``path``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)  # encodes all of it before writing any
+        except UnicodeEncodeError as exc:
+            raise ConfigError(
+                f"stdout's encoding {exc.encoding!r} cannot write the output; use --out"
+            ) from exc
     else:
         try:
-            Path(path).write_text(text)
+            Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot write output file {_shown(path)}: {_shown(str(exc))}") from exc
 

@@ -56,11 +56,14 @@ __all__ = [
     "read_trace",
 ]
 
-EVENT_KINDS = frozenset(
-    {"alloc", "release", "t", "rz", "ccz", "ccix", "measure", "clifford"}
-)
-
-_SINGLE_QUBIT = frozenset({"t", "rz", "measure"})
+# op -> (the numbers of ids it takes, the message refusing any other number)
+_ARITY = {
+    **dict.fromkeys(("alloc", "release"), (range(1, 1 << 63), "{op} takes at least 1 qubit")),
+    **dict.fromkeys(("t", "rz", "measure"), (range(1, 2), "{op} takes exactly 1 qubit, got {n}")),
+    **dict.fromkeys(("ccz", "ccix"), (range(3, 4), "{op} takes exactly 3 qubits, got {n}")),
+    "clifford": (range(1, 3), "clifford takes 1 or 2 qubits, got {n}"),
+}
+EVENT_KINDS = frozenset(_ARITY)
 _THREE_QUBIT = frozenset({"ccz", "ccix"})
 _ONE_ID_OPS = EVENT_KINDS - _THREE_QUBIT
 
@@ -73,10 +76,8 @@ _BLOCK_SIZE = 1 << 15
 # zero, and "]}" decodes to the event json.loads would give; any other line
 # goes through json.loads.
 _ID = re.compile("0|[1-9][0-9]{0,17}")
-_ID_COUNTS = {"alloc": range(1, 1 << 63), "release": range(1, 1 << 63),
-              "clifford": range(1, 3), "ccz": range(3, 4), "ccix": range(3, 4)}
 _CANONICAL_HEADS = {
-    head.format(op=op): (op, sep, _ID_COUNTS.get(op, range(1, 2)))
+    head.format(op=op): (op, sep, _ARITY[op][0])
     for op in EVENT_KINDS
     for head, sep in (('{{"op": "{op}", "q": ', ", "), ('{{"op":"{op}","q":', ","))
 }
@@ -160,20 +161,13 @@ class LogicalCounts(JsonRecord):
 def _check_event(op: str, qubits: tuple, index: int) -> None:
     if op not in EVENT_KINDS:
         raise TraceFormatError(f"unknown trace op {_shown(repr(op))} at event {index}")
-    n = len(qubits)
     if min(qubits, default=0) < 0:
         raise ArityMismatchError(index, f"{op} references a negative qubit id")
-    if op in _SINGLE_QUBIT and n != 1:
-        raise ArityMismatchError(index, f"{op} takes exactly 1 qubit, got {n}")
-    if op in _THREE_QUBIT:
-        if n != 3:
-            raise ArityMismatchError(index, f"{op} takes exactly 3 qubits, got {n}")
-        if len(set(qubits)) != 3:
-            raise ArityMismatchError(index, f"{op} requires 3 distinct qubits")
-    if op == "clifford" and n not in (1, 2):
-        raise ArityMismatchError(index, f"clifford takes 1 or 2 qubits, got {n}")
-    if op in ("alloc", "release") and n < 1:
-        raise ArityMismatchError(index, f"{op} takes at least 1 qubit")
+    id_counts, message = _ARITY[op]
+    if len(qubits) not in id_counts:
+        raise ArityMismatchError(index, message.format(op=op, n=len(qubits)))
+    if op in _THREE_QUBIT and len(set(qubits)) != 3:
+        raise ArityMismatchError(index, f"{op} requires 3 distinct qubits")
 
 
 def count_trace(events: Iterable[TraceEvent]) -> LogicalCounts:

@@ -285,6 +285,38 @@ def compute_code_distance(
     raise DistanceExhaustedError(scheme.max_code_distance)
 
 
+# Variables of a formula row whose value changes with the code distance.
+_DISTANCE_VARIABLES = frozenset(
+    {"codeDistance", "physicalQubitsPerLogicalQubit", "logicalCycleTime"}
+)
+
+
+def _base_row(params: PhysicalQubitParams) -> dict[str, float]:
+    """The formula row that reads no code distance: the operation times
+    and ``cliffordErrorRate``."""
+    return {**_times(params), "cliffordErrorRate": params.clifford_error_rate}
+
+
+def _distance_row(
+    scheme: QecScheme, params: PhysicalQubitParams, code_distance: int
+) -> dict[str, float]:
+    """A new formula row at ``code_distance``, the caller's to change: the
+    base row, ``codeDistance`` and the scheme's two values.  The scheme's
+    formulas are evaluated here alone, seeing the times and the distance."""
+    row = {**_times(params), "codeDistance": float(code_distance)}
+    cycle_time = formulas.evaluate(scheme.logical_cycle_time, row)
+    footprint = formulas.evaluate(scheme.physical_qubits_per_logical_qubit, row)
+    if not (0.0 < cycle_time < math.inf and 0.0 < footprint < math.inf):
+        raise ConfigError(
+            f"scheme {_shown(repr(scheme.name))} formulas must be positive and finite at distance "
+            f"{code_distance}: cycle {cycle_time!r}, footprint {footprint!r}"
+        )
+    row["cliffordErrorRate"] = params.clifford_error_rate
+    row["physicalQubitsPerLogicalQubit"] = float(math.ceil(footprint))
+    row["logicalCycleTime"] = cycle_time
+    return row
+
+
 def evaluate_scheme_formulas(
     scheme: QecScheme, params: PhysicalQubitParams, code_distance: int
 ) -> tuple[float, int]:
@@ -293,24 +325,8 @@ def evaluate_scheme_formulas(
     Any distance >= 1 is accepted (see :class:`QecScheme` on distance 1);
     both values must come out positive.
     """
-    env = {**_times(params), "codeDistance": float(code_distance)}
-    return _scheme_values(scheme, env, code_distance)
-
-
-def _scheme_values(
-    scheme: QecScheme, env: dict[str, float], code_distance: int
-) -> tuple[float, int]:
-    """:func:`evaluate_scheme_formulas` in ``env``, which binds the
-    operation times and ``codeDistance`` (``code_distance``) and nothing
-    else, for callers that keep the environment as a row of their own."""
-    cycle_time = formulas.evaluate(scheme.logical_cycle_time, env)
-    footprint = formulas.evaluate(scheme.physical_qubits_per_logical_qubit, env)
-    if not (0.0 < cycle_time < math.inf and 0.0 < footprint < math.inf):
-        raise ConfigError(
-            f"scheme {_shown(repr(scheme.name))} formulas must be positive and finite at distance "
-            f"{code_distance}: cycle {cycle_time!r}, footprint {footprint!r}"
-        )
-    return cycle_time, math.ceil(footprint)
+    row = _distance_row(scheme, params, code_distance)
+    return row["logicalCycleTime"], int(row["physicalQubitsPerLogicalQubit"])
 
 
 def logical_qubit_profile(

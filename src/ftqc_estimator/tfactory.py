@@ -44,7 +44,7 @@ from .errors import (
     record,
 )
 from .formulas import FormulaExpr
-from .qec import PhysicalQubitParams, QecScheme, _scheme_values, _times
+from .qec import _DISTANCE_VARIABLES, PhysicalQubitParams, QecScheme, _base_row, _distance_row
 
 __all__ = [
     "Applicability",
@@ -76,10 +76,8 @@ class Applicability(str, Enum):
 class DistillationUnit(JsonRecord):
     """One distillation stage, e.g. a 15-to-1 round.
 
-    The four formulas are evaluated with the distillation variable set:
-    the qubit operation times, ``codeDistance``, ``cliffordErrorRate``,
-    ``inputErrorRate``, ``physicalQubitsPerLogicalQubit``, and
-    ``logicalCycleTime``.
+    The four formulas are evaluated with the distillation variable set,
+    :data:`formulas.DISTILLATION_VARIABLES`.
     """
 
     name: str
@@ -199,12 +197,6 @@ def required_t_state_error(error_budget_t_states: float, total_t_states: int) ->
     return error_budget_t_states / total_t_states
 
 
-# Variables whose value changes with the round's code distance.
-_DISTANCE_VARIABLES = frozenset(
-    {"codeDistance", "physicalQubitsPerLogicalQubit", "logicalCycleTime"}
-)
-
-
 def _parallel_units(sequence: Sequence[DistillationUnit], last: int = 1) -> list[int]:
     """Units per round so each round feeds the next; the last runs ``last`` times."""
     counts = [last] * len(sequence)
@@ -235,18 +227,16 @@ def search_pipeline(
     another round can only widen the copy and lengthen the run.
 
     Every formula runs in a row of one table, private to the call and
-    filled lazily: a code distance maps to the variables of a round at that
-    distance (None where the scheme rejects distance 1), and None to the
-    base variables, which the error formulas of a distance-free unit read.
-    Each distance builds one row: the scheme's formulas run in it while it
-    holds only the operation times and ``codeDistance``, and it then gains
-    ``cliffordErrorRate`` and the two scheme values.  A row's
-    ``inputErrorRate`` is written just before each evaluation.  A branch
-    whose cost formulas do not read ``inputErrorRate`` has the same raw
-    qubits and duration in every chain; they are memoized per search,
-    with the narrowest of them, the first time the branch gets that far,
-    so failure, output and costs are still evaluated, and any formula
-    error raised, in the order of a search without the memo.
+    filled lazily with rows that :mod:`qec` builds: a code distance maps to
+    the variables of a round at that distance (None where the scheme
+    rejects distance 1), and None to the base row, which the error formulas
+    of a distance-free unit read.  A row's ``inputErrorRate`` is written
+    just before each evaluation.  A branch whose cost formulas do not read
+    ``inputErrorRate`` has the same raw qubits and duration in every chain;
+    they are memoized per search, with the narrowest of them, the first
+    time the branch gets that far, so failure, output and costs are still
+    evaluated, and any formula error raised, in the order of a search
+    without the memo.
     Likewise a unit that branches per distance but whose failure formula
     reads no distance variable fails alike at every distance: a visit
     evaluates that formula at the unit's first branch only, where an error
@@ -281,11 +271,13 @@ def search_pipeline(
     round independently takes its option with the least
     ``(duration, qubits, distance)``.  This gives the same optimum as
     trying every distance combination.  Chains are ranked by the key
-    ``(cap, total duration, rounds)``, the duration summed left to right
-    over the rounds; among equal keys the chain first in unit-list search
-    order wins, whatever order the chains were visited in, i.e. the one
-    that comes first when rounds are compared in unit-list order, then by
-    ascending distance for units that branch per distance.
+    ``(cap, total duration, rounds, branch indices)``, the duration summed
+    left to right over the rounds.  A unit-list search scores chains in
+    ascending order of their branch indices, so among chains equal in the
+    rest the one first in that order wins, whatever order the chains were
+    visited in: the one that comes first when rounds are compared in
+    unit-list order, then by ascending distance for units that branch per
+    distance.
     """
     if not units:
         raise ConfigError("at least one distillation unit is required")
@@ -296,27 +288,16 @@ def search_pipeline(
     if not 0.0 < required_error < 1.0:
         raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
 
-    times = _times(params)
-    clifford = params.clifford_error_rate
-    table: dict[Optional[int], Optional[dict[str, float]]] = {
-        None: {**times, "cliffordErrorRate": clifford}
-    }
+    table: dict[Optional[int], Optional[dict[str, float]]] = {None: _base_row(params)}
 
     def variables_at(distance: Optional[int]) -> Optional[dict[str, float]]:
         if distance not in table:
-            # the scheme's formulas see the times and the distance only
-            row = {**times, "codeDistance": float(distance)}
             try:
-                cycle_time, footprint = _scheme_values(scheme, row, distance)
+                table[distance] = _distance_row(scheme, params, distance)
             except (ConfigError, FormulaDomainError, DivisionByZeroError):
                 if distance != 1:  # QecScheme's rule: no physical-level round
                     raise
-                row = None
-            else:
-                row["cliffordErrorRate"] = clifford
-                row["physicalQubitsPerLogicalQubit"] = float(footprint)
-                row["logicalCycleTime"] = cycle_time
-            table[distance] = row
+                table[distance] = None
         return table[distance]
 
     # (unit, distance its errors are evaluated at or None, distance options,
@@ -344,7 +325,6 @@ def search_pipeline(
 
     best_key: Optional[tuple] = None
     best_plan: Optional[TFactoryPlan] = None
-    best_path: list[int] = []
     # per round: (unit, options as (expected duration, unit qubits, distance),
     # qubits of its narrowest option, branch index)
     chain: list[tuple[DistillationUnit, list[tuple[float, int, int]], int, int]] = []
@@ -353,7 +333,7 @@ def search_pipeline(
         return max(m * narrowest for m, (_, _, narrowest, _) in zip(parallel, chain))
 
     def score(output_error: float) -> None:
-        nonlocal best_key, best_plan, best_path
+        nonlocal best_key, best_plan
         parallel = _parallel_units([unit for unit, _, _, _ in chain])
         cap = narrowest_cap(parallel)
         picks = [
@@ -363,17 +343,11 @@ def search_pipeline(
         total_duration = 0.0
         for duration, _, _ in picks:
             total_duration += duration
-        key = (cap, total_duration, len(chain))
-        # an equal key goes to the chain first in unit-list order: the
-        # ordered search may score it later, a unit-list search never does
-        if (
-            best_key is None
-            or key < best_key
-            or (not in_order and key == best_key and [index for *_, index in chain] < best_path)
-        ):
+        # the branch indices break a tie for the chain first in unit-list
+        # order, which the ordered search may score later
+        key = (cap, total_duration, len(chain), [index for *_, index in chain])
+        if best_key is None or key < best_key:
             best_key = key
-            if not in_order:
-                best_path = [index for *_, index in chain]
             best_plan = TFactoryPlan(
                 rounds=tuple(
                     FactoryRound(unit.name, d, m)

@@ -1114,3 +1114,33 @@ class TestOneProcessManyCommands:
         assert [code for code, _, _ in answers] == [0, 0, 0, 2, 0, 0]
         for argv, answer in zip(commands, answers):
             assert answer == self.fresh(argv), argv
+
+
+class TestOutputTheLocaleCannotEncode:
+    """Under the C locale stdout encodes ASCII only, while a sweep row's
+    error echoes a unit name that is not ASCII."""
+
+    def sweep(self, tmp_path, *out):
+        """The finished ``sweep`` process, run under the C locale."""
+        unit = dict(UNIT_15_TO_1, name="é-unit", numInputTs=1)  # every row fails
+        job = write_job(tmp_path, distillationUnits=[unit])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "ftqc_estimator.cli", "sweep", "--job", str(job),
+             "--param", "errorBudget", "--values", "1e-3", *out],
+            env=env, capture_output=True, timeout=120,
+        )
+
+    def test_out_file_is_written_as_utf8(self, tmp_path):
+        out = tmp_path / "out.csv"
+        done = self.sweep(tmp_path, "--out", str(out))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert "ConfigError: distillation unit 'é-unit' must concentrate" in (
+            out.read_text(encoding="utf-8"))
+
+    def test_stdout_that_cannot_encode_the_output_is_a_config_error(self, tmp_path):
+        done = self.sweep(tmp_path)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert strict_json(done.stderr.decode("ascii"))["error"]["type"] == "ConfigError"

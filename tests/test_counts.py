@@ -342,6 +342,23 @@ def test_fast_path_parses_as_json_loads(line):
     assert outcome(lambda: list(parse_trace_lines([line]))) == expected
 
 
+@pytest.mark.parametrize("op", sorted(counts.EVENT_KINDS))
+def test_fast_path_checks_ids_exactly_when_the_event_check_accepts_them(op):
+    distinct = [list(range(n)) for n in range(5)]
+    repeated = [[0] * n for n in range(2, 5)] + [[0, 1, 0], [2, 0, 2, 1]]
+    for ids in distinct + repeated:
+        try:
+            counts._check_event(op, tuple(ids), 0)
+            accepted = True
+        except ArityMismatchError:
+            accepted = False
+        for separators in ((", ", ": "), (",", ":")):
+            line = json.dumps({"op": op, "q": ids}, separators=separators)
+            # twice in one decode: the second line finds its id texts in the table
+            flags = [checked for *_, checked in counts._decoded(([line, line],), "<trace>")]
+            assert flags == [accepted, accepted], line
+
+
 def test_canonical_spellings_take_the_fast_path(tmp_path, monkeypatch):
     lines = [json.dumps({"op": op, "q": q}, separators=separators)
              for op, q in (("t", [12]), ("ccz", [0, 1, 2]), ("alloc", [0]), ("clifford", [3, 4]))

@@ -11,9 +11,11 @@ from ftqc_estimator.errors import (
     ConfigError,
     DistanceExhaustedError,
     FormulaSyntaxError,
+    UnboundVariableError,
 )
-from ftqc_estimator.formulas import parse_formula
+from ftqc_estimator.formulas import DISTILLATION_VARIABLES, QEC_SCHEME_VARIABLES, parse_formula
 from ftqc_estimator.qec import (
+    _DISTANCE_VARIABLES,
     FLOQUET_CODE,
     SURFACE_CODE,
     InstructionSet,
@@ -26,6 +28,8 @@ from ftqc_estimator.qec import (
     logical_error_rate,
     logical_qubit_profile,
     required_logical_error_rate,
+    _base_row,
+    _distance_row,
 )
 
 
@@ -346,3 +350,41 @@ class TestFromStrings:
             QecScheme.from_strings(*self.ARGS, 7)
         with pytest.raises(TypeError):
             QecScheme.from_strings(*self.ARGS, code_distance=7)
+
+
+class TestFormulaRows:
+    """The one builder of the rows every scheme and unit formula runs in."""
+
+    def all_times(self):
+        return gate_params(two_qubit_measurement_time=200.0)
+
+    def test_a_row_plus_the_input_error_binds_the_distillation_variables(self):
+        row = _distance_row(SURFACE_CODE, self.all_times(), 3)
+        assert set(row) | {"inputErrorRate"} == DISTILLATION_VARIABLES
+        assert set(_base_row(self.all_times())) == set(row) - _DISTANCE_VARIABLES
+
+    @pytest.mark.parametrize("which", ["cycle", "footprint"])
+    @pytest.mark.parametrize(
+        "name", sorted(DISTILLATION_VARIABLES - QEC_SCHEME_VARIABLES) + ["tGateTime"]
+    )
+    def test_scheme_formulas_see_only_the_scheme_variables(self, which, name):
+        formulas = {"cycle": "codeDistance", "footprint": "codeDistance"}
+        formulas[which] = f"{name} + codeDistance"
+        scheme = QecScheme.from_strings("reads", 0.03, 0.01, formulas["cycle"], formulas["footprint"])
+        with pytest.raises(UnboundVariableError):
+            _distance_row(scheme, self.all_times(), 3)
+        with pytest.raises(UnboundVariableError):
+            evaluate_scheme_formulas(scheme, self.all_times(), 3)
+
+    def test_only_the_distance_variables_change_with_the_distance(self):
+        for scheme, params in ((SURFACE_CODE, self.all_times()), (FLOQUET_CODE, majorana_params())):
+            low, high = (_distance_row(scheme, params, d) for d in (3, 5))
+            assert set(low) == set(high)
+            assert {name for name in low if low[name] != high[name]} == _DISTANCE_VARIABLES
+
+    def test_evaluate_scheme_formulas_reads_the_row(self):
+        row = _distance_row(FLOQUET_CODE, majorana_params(), 7)
+        cycle, footprint = evaluate_scheme_formulas(FLOQUET_CODE, majorana_params(), 7)
+        assert (cycle, footprint) == (row["logicalCycleTime"], row["physicalQubitsPerLogicalQubit"])
+        assert type(footprint) is int
+        assert _distance_row(FLOQUET_CODE, majorana_params(), 7) is not row  # each call's own
