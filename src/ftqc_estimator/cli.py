@@ -4,14 +4,14 @@ Subcommands:
 
 * ``estimate`` runs a single job and writes the full report.
 * ``sweep`` re-runs a job template over a list of values for one numeric
-  field (dotted path) and writes a flat CSV table.
+  field (dotted path, list items by index) and writes a flat CSV table.
 * ``frontier`` runs a job across a slowdown grid and writes the
   Pareto-pruned qubit/runtime points.
 * ``profiles`` lists the built-in hardware profiles.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible estimate,
-1 internal error.  Failures emit a machine-readable JSON error object on
-stderr.
+Exit codes: 0 success, 2 configuration error (a usage error included),
+3 infeasible estimate, 1 internal error.  Failures emit a machine-readable
+JSON error object on stderr; only ``--help`` writes text, on stdout.
 """
 
 from __future__ import annotations
@@ -107,16 +107,18 @@ def cmd_estimate(job_path: str, out_path: Optional[str], fmt: str = "structured"
 
 
 def _set_by_path(data: dict, dotted: str, value: float) -> None:
-    *parents, leaf = dotted.split(".")
+    """Set the numeric field at ``dotted``, keys and list indices joined by dots."""
     node = data
-    for part in parents:
-        node = node.get(part) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"job has no field at {_shown(repr(dotted))}")
-    if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
+    for part in dotted.split("."):
+        if isinstance(node, list) and part in map(str, range(len(node))):
+            part = int(part)
+        elif not isinstance(node, dict) or part not in node:
+            raise ConfigError(f"job has no field at {_shown(repr(dotted))}")
+        parent, slot, node = node, part, node[part]
+    if not isinstance(node, (int, float)) or isinstance(node, bool):
         raise ConfigError(f"field at {_shown(repr(dotted))} is not numeric")
     # keep integer-valued fields integral so counts stay valid
-    node[leaf] = int(value) if isinstance(node[leaf], int) and value == int(value) else value
+    parent[slot] = int(value) if isinstance(node, int) and value == int(value) else value
 
 
 def cmd_sweep(
@@ -218,11 +220,18 @@ def _parse_values(text: str) -> list[float]:
     return [read_number(value, f"each value in {shown}") for value in values]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are :class:`ConfigError` failures."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused: parsing leaves
     it unchanged, and building costs far more than parsing."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftqc-estimator",
         description="Physical resource estimation for fault-tolerant quantum algorithms.",
     )
@@ -235,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="re-run a job over values of one numeric field")
     swp.add_argument("--job", required=True, help="path to the job template JSON file")
-    swp.add_argument("--param", required=True, help="dotted path of the field to sweep")
+    swp.add_argument("--param", required=True, help="dotted field path; list items by index")
     swp.add_argument("--values", required=True, help="comma-separated numeric values")
     swp.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
@@ -253,9 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "estimate":
             return cmd_estimate(args.job, args.out, args.format)
         if args.command == "sweep":
@@ -267,6 +276,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_profiles(args.format, args.out)
     except EstimatorError as exc:
         code, description = _failure(exc)
+        for arg in sorted(argv, key=len, reverse=True):  # echo each argument cut short
+            for text in (arg, repr(arg)[1:-1]):
+                description["message"] = description["message"].replace(text, _shown(text))
         sys.stderr.write(json.dumps({"error": description}) + "\n")
         return code
     except Exception as exc:  # internal error: still machine readable

@@ -282,7 +282,8 @@ class Record:
     ``hash`` and ``repr`` that ``dataclasses`` would generate for it: equal
     only to an instance of the same class whose field tuple is equal, the
     hash of that tuple, and ``Name(field=value, ...)`` in field order.
-    Written once here, they cost nothing per class at import."""
+    Written once here, they cost nothing per class at import.  A pickled or
+    copied record holds its fields alone, not values kept beside them."""
 
     _field_names: tuple[str, ...] = ()  # set by record()
 
@@ -300,6 +301,9 @@ class Record:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{self.__class__.__qualname__}({shown})"
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._field_names}
 
 
 def record(cls: type) -> type:

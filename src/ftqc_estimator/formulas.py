@@ -18,25 +18,22 @@ of them, so ``-2 ^ 2`` is ``(-2) ^ 2``.  Identifiers match
 scientific notation.  The only recognized functions are ``ceil``,
 ``floor``, ``log2``, and ``sqrt``.
 
-Trees are immutable after parsing, and :func:`parse_formula` keeps each
-tree it builds under its source text, so a repeated formula is parsed
-once.  :func:`evaluate` compiles a tree on its first evaluation into one
-generated straight-line function, a statement per node, and keeps it on
-the tree's root; later evaluations only call it.  Trees of the same shape
-share the compiled code, because every constant is passed in as an
-argument.  :func:`variables` likewise keeps a tree's variable names on
-its root after the first walk.  The tree itself stays for
-:func:`to_source`, and neither kept value takes part in ``==``, ``hash``,
-``repr`` or pickling.  Trees and both caches can be shared
-across threads without a lock, because an entry is only ever replaced by
-an equal one: two threads that parse one text, compile one shape or
-evaluate a new tree at once may both do the work, each keeping an
-equivalent result, and a cache that fills while several threads add to
-it may hold one entry per thread beyond its bound until it is cleared.
+Trees are immutable after parsing.  :func:`parse_formula` keeps the trees
+of the texts it parsed last, and :func:`evaluate` compiles a tree on its
+first evaluation into one generated straight-line function, a statement
+per node, kept on the tree's root; trees of the same shape share the
+compiled code, because every constant is passed in as an argument.  Both
+caches use ``functools.lru_cache``.  :func:`variables` likewise keeps a
+tree's variable names on its root after the first walk.  Neither kept
+value takes part in ``==``, ``hash``, ``repr`` or pickling.  Trees can be
+shared across threads without a lock, because a kept value is only ever
+replaced by an equal one: two threads that evaluate a new tree at once
+may both compile it, each keeping an equivalent function.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -102,9 +99,6 @@ class _Node(Record):
 
     def __str__(self) -> str:
         return to_source(self)
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_run", "_variables")}
 
 
 @record
@@ -277,12 +271,8 @@ class _Parser:
         raise FormulaSyntaxError(tok.position, "a number, variable, function call, or '('")
 
 
-# Parsed trees by source text, so that a formula repeated across jobs or
-# requests is lexed, parsed and compiled once.  Cleared when full.  A text
-# longer than _MAX_CACHED_CHARS is parsed on every call instead, so that
-# no input can keep a huge (say whitespace-padded) string alive here.
-_PARSED: dict[str, FormulaExpr] = {}
-_MAX_PARSED = 1024
+# A longer text is parsed on every call instead of kept, so that no input
+# can keep a huge (say whitespace-padded) string alive.
 _MAX_CACHED_CHARS = 1024
 
 
@@ -297,14 +287,13 @@ def parse_formula(source: str) -> FormulaExpr:
     """
     if not isinstance(source, str):
         raise FormulaSyntaxError(0, f"a formula string, got {source!r}")
-    tree = _PARSED.get(source)
-    if tree is None:
-        tree = _Parser(source).parse()
-        if len(source) <= _MAX_CACHED_CHARS:
-            if len(_PARSED) >= _MAX_PARSED:
-                _PARSED.clear()
-            _PARSED[source] = tree
-    return tree
+    return _parsed(source) if len(source) <= _MAX_CACHED_CHARS else _Parser(source).parse()
+
+
+@functools.lru_cache(maxsize=1024)
+def _parsed(source: str) -> FormulaExpr:
+    """``source``'s tree, kept for the 1024 texts parsed last; a failed parse is not kept."""
+    return _Parser(source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +423,14 @@ _GLOBALS = {
     "UnknownFunctionError": UnknownFunctionError,
 }
 
-# Compiled makers by generated source: one per tree shape, since every
-# constant is an argument.  Cleared when full.
-_MAKERS: dict[str, Callable[..., _Run]] = {}
-_MAX_MAKERS = 256
+
+@functools.lru_cache(maxsize=256)
+def _maker(source: str) -> Callable[..., _Run]:
+    """The compiled maker of a generated ``source``, one per tree shape (every
+    constant is an argument), kept for the 256 shapes compiled last."""
+    namespace: dict = {}
+    exec(compile(source, "<formula>", "exec"), _GLOBALS, namespace)
+    return namespace["make"]
 
 
 def _compile(expr: FormulaExpr) -> _Run:
@@ -484,15 +477,7 @@ def _compile(expr: FormulaExpr) -> _Run:
         f"    def run(env):\n        {body}return {result}\n"
         "    return run\n"
     )
-    make = _MAKERS.get(source)
-    if make is None:
-        namespace: dict = {}
-        exec(compile(source, "<formula>", "exec"), _GLOBALS, namespace)
-        make = namespace["make"]
-        if len(_MAKERS) >= _MAX_MAKERS:
-            _MAKERS.clear()
-        _MAKERS[source] = make
-    return make(*args)
+    return _maker(source)(*args)
 
 
 def evaluate(expr: FormulaExpr, env: Mapping[str, float]) -> float:

@@ -117,9 +117,6 @@ class PhysicalQubitParams(JsonRecord):
                 env[key] = float(value)
         return env
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_times"}
-
 
 def _times(params: PhysicalQubitParams) -> dict[str, float]:
     """``params.time_variables()``, built on the first call and kept on the

@@ -7,7 +7,9 @@ of bad values, a long string among them, and the job is run through
 over the formula grammar.  Whatever the value, the run must exit 0 (the
 value happens to be valid), 2 (configuration error) or 3 (infeasible),
 never 1 (internal error); stdout and stderr must each be empty or strict
-JSON, and neither may echo 200 characters of the long string.
+JSON, and neither may echo 200 characters of the long string.  Command
+lines the argument parser rejects, the long string among their
+arguments, must exit 2 under the same rules.
 
 Each run of the job sweep also has a recorded outcome in
 ``tests/golden/expected/bad_input_outcomes.json``: the exit code, the
@@ -187,6 +189,29 @@ def test_every_bad_value_fails_cleanly(case, tmp_path):
         if expected.get(where) != outcomes.get(where)
     ]
     assert not changed, "\n".join(changed)
+
+
+# command lines the parser rejects; none of them reaches a job file
+USAGE_ERRORS = {
+    "nothing": [],
+    "unknown-command": ["simulate"],
+    "long-command": [LONG],
+    "long-option": [f"--{LONG}"],
+    "no-job": ["estimate"],
+    "job-without-path": ["estimate", "--job"],
+    "long-choice": ["estimate", "--job", "job.json", "--format", LONG],
+    "long-extra": ["estimate", "--job", "job.json", LONG],
+    "grid-without-value": ["frontier", "--job", "job.json", "--slowdown-grid"],
+    "no-param": ["sweep", "--job", "job.json", "--values", "1"],
+    "bad-choice": ["profiles", "--format", "yaml"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_every_bad_command_line_fails_cleanly(argv):
+    code, out, err = run_cli(argv)
+    assert not problems_of(code, out, err, " ".join(argv)[:100])
+    assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "ConfigError")
 
 
 # the alloc, t and ccz records: ids in lists of four, one and three

@@ -873,6 +873,46 @@ class TestSweepCommand:
         )
         assert_config_error(code, out, err, "is not numeric")
 
+    @pytest.mark.parametrize("field, values", [("numInputTs", (15, 20)), ("numOutputTs", (1, 3))])
+    def test_list_item_sweep_writes_the_rows_of_separate_runs(self, tmp_path, capsys, field, values):
+        job = write_job(tmp_path, distillationUnits=[UNIT_15_TO_1])
+        code, out, err = run(
+            capsys,
+            "sweep",
+            "--job",
+            str(job),
+            "--param",
+            f"distillationUnits.0.{field}",
+            "--values",
+            ",".join(map(str, values)),
+        )
+        assert code == 0, err
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2
+        for value, row in zip(values, rows):
+            alone = write_job(tmp_path, "alone.json", distillationUnits=[{**UNIT_15_TO_1, field: value}])
+            code, out, err = run(capsys, "estimate", "--job", str(alone))
+            assert code == 0, err
+            report = json.loads(out)
+            physical = report["physicalResourceEstimates"]
+            expected = [
+                float(value),
+                physical["physicalQubits"],
+                physical["runtime"],
+                report["logicalQubitParameters"]["codeDistance"],
+                physical["rqops"],
+                report["resourceEstimatesBreakdown"]["numTFactoryCopies"],
+                "",
+            ]
+            assert row == ",".join(map(str, expected))
+
+    @pytest.mark.parametrize("index", ["1", "-1", "01", "x", "", "9" * 5000])
+    def test_a_bad_list_index_is_no_field(self, tmp_path, capsys, index):
+        job = write_job(tmp_path, distillationUnits=[{"numInputTs": 15}])
+        param = f"distillationUnits.{index}.numInputTs"
+        code, out, err = run(capsys, "sweep", "--job", str(job), "--param", param, "--values", "1")
+        assert_config_error(code, out, err, "job has no field at")
+
     def test_integer_field_sweep(self, tmp_path, capsys):
         job = write_job(tmp_path)
         code, out, err = run(
@@ -1019,14 +1059,19 @@ class TestProfilesCommand:
 
 class TestUsage:
     def test_unknown_subcommand_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["simulate"])
-        assert excinfo.value.code != 0
+        code, out, err = run(capsys, "simulate")
+        assert_config_error(code, out, err, "invalid choice: 'simulate'")
 
     def test_no_subcommand_is_usage_error(self, capsys):
+        code, out, err = run(capsys)
+        assert_config_error(code, out, err, "required: command")
+
+    def test_help_is_text_on_stdout(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main([])
-        assert excinfo.value.code != 0
+            cli.main(["estimate", "--help"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: ftqc-estimator estimate")
 
     @pytest.mark.parametrize("grid", ["nan", "1,inf"])
     def test_non_finite_numeric_list(self, tmp_path, capsys, grid):

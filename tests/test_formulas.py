@@ -140,32 +140,47 @@ class TestParseCache:
         source = "(4 * twoQubitGateTime + 2 * oneQubitMeasurementTime) * codeDistance"
         first = parse(source)
         assert parse(source) == first == formulas._Parser(source).parse()
-        assert formulas._PARSED[source] is first
+        assert formulas._parsed(source) is first
 
     @pytest.mark.parametrize("source", ["2 ** d", "sin(1)", "(1 + 2", "1e999", "x +" * 200])
     def test_a_bad_text_fails_the_same_way_on_every_call(self, source):
+        before = formulas._parsed.cache_info()
         outcomes = [parse_outcome(formulas.parse_formula, source) for _ in range(3)]
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[0] == parse_outcome(lambda s: ReferenceParser(s).parse(), source)
-        assert source not in formulas._PARSED
+        after = formulas._parsed.cache_info()  # never kept: every call parses again
+        assert (after.hits, after.misses) == (before.hits, before.misses + 3)
 
     def test_an_overlong_text_parses_but_is_not_kept(self):
+        formulas._parsed.cache_clear()
         padding = " " * 1_000_000
         source = padding + "11 * logicalCycleTime" + padding  # 2 MB
         tree = parse(source)
         assert tree == BinOp("*", Number(11.0), Variable("logicalCycleTime"))
-        assert source not in formulas._PARSED
+        assert formulas._parsed.cache_info().currsize == 0
         limit = formulas._MAX_CACHED_CHARS
         longest = "x".ljust(limit)
         parse(longest)
         parse(longest + " ")
-        assert longest in formulas._PARSED and longest + " " not in formulas._PARSED
+        assert formulas._parsed.cache_info().currsize == 1  # the longest kept text only
 
-    def test_the_cache_never_exceeds_its_entry_bound(self, monkeypatch):
-        monkeypatch.setattr(formulas, "_PARSED", {})
-        for i in range(2 * formulas._MAX_PARSED + 10):
+    def test_the_cache_never_exceeds_its_entry_bound(self):
+        formulas._parsed.cache_clear()
+        bound = formulas._parsed.cache_info().maxsize
+        for i in range(2 * bound + 10):
             assert parse(f"x + {i}") == BinOp("+", Variable("x"), Number(float(i)))
-            assert 1 <= len(formulas._PARSED) <= formulas._MAX_PARSED
+            assert 1 <= formulas._parsed.cache_info().currsize <= bound
+
+    def test_the_caches_keep_the_texts_and_shapes_used_last(self):
+        assert formulas._parsed.cache_info().maxsize == 1024
+        assert formulas._maker.cache_info().maxsize == 256
+
+    def test_a_text_over_the_limit_leaves_the_cache_as_it_was(self):
+        parse("x + 1")  # the cache holds at least one entry
+        before = formulas._parsed.cache_info()
+        source = "x + 1".rjust(formulas._MAX_CACHED_CHARS + 1)
+        assert parse(source) == parse("x + 1")
+        assert formulas._parsed.cache_info() == before._replace(hits=before.hits + 1)
 
 
 class TestEvaluation:
@@ -559,8 +574,8 @@ def test_threads_sharing_the_caches_get_the_tree_walk_results():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            formulas._PARSED.clear()
-            formulas._MAKERS.clear()
+            formulas._parsed.cache_clear()
+            formulas._maker.cache_clear()
             threads = [threading.Thread(target=work, args=(37 * n,)) for n in range(6)]
             for thread in threads:
                 thread.start()

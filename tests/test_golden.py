@@ -96,18 +96,18 @@ def test_output_is_byte_identical(name, monkeypatch):
 def test_every_case_repeats_its_bytes_with_warm_formula_caches(monkeypatch):
     # the first pass fills empty parse and shape caches, the second reads them
     monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
-    monkeypatch.setattr(formulas, "_PARSED", {})
-    monkeypatch.setattr(formulas, "_MAKERS", {})
+    formulas._parsed.cache_clear()
+    formulas._maker.cache_clear()
     expected = {
         name: json.loads((GOLDEN / "expected" / f"{name}.json").read_text()) for name in CASES
     }
     for _ in range(2):
         for name in sorted(CASES):
             assert run_case(name) == expected[name], name
-    assert formulas._PARSED and formulas._MAKERS
+    assert formulas._parsed.cache_info().currsize and formulas._maker.cache_info().currsize
 
 
-def test_a_sweep_over_inline_units_writes_the_rows_of_separate_runs(tmp_path, monkeypatch):
+def test_a_sweep_over_inline_units_writes_the_rows_of_separate_runs(tmp_path):
     job = str(GOLDEN / "distance_dependent_units.json")
     values = ["0.01", "0.0001", "1e-06", "1e-08"]
 
@@ -120,8 +120,8 @@ def test_a_sweep_over_inline_units_writes_the_rows_of_separate_runs(tmp_path, mo
     separate = []
     for i, value in enumerate(values):
         # each run parses and compiles its formulas afresh
-        monkeypatch.setattr(formulas, "_PARSED", {})
-        monkeypatch.setattr(formulas, "_MAKERS", {})
+        formulas._parsed.cache_clear()
+        formulas._maker.cache_clear()
         header, row = sweep([value], tmp_path / f"row{i}.csv")
         separate.append(row)
     assert together == [header, *separate]

@@ -10,21 +10,30 @@ its default ``eq`` and ``repr``, holding the twins of the same values.
 Floats are drawn without NaN: a dataclass compares tuples before Python
 3.13 and field by field from 3.13 on, which differ on one NaN object
 compared with itself, and :class:`Record` compares tuples.
+
+Pickling and copying a record keep its fields alone.
+
+Hypothesis does not shrink a failing example here: shrinking nested
+records (reports inside a frontier result) took minutes per failing
+class, so a failure is reported with the example that found it.
 """
 
+import copy
 import dataclasses
 import functools
+import pickle
 import typing
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ftqc_estimator import errors, formulas
 from test_public_api import package_dataclasses
 
 RECORDS = package_dataclasses()
+UNSHRUNK = settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 TWINS = {
     cls: dataclasses.make_dataclass(
         cls.__qualname__, [f.name for f in dataclasses.fields(cls)], frozen=True
@@ -113,7 +122,7 @@ def test_every_record_kind_is_covered():
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-@settings(max_examples=25, deadline=None)
+@settings(UNSHRUNK, max_examples=25)
 @given(data=st.data())
 def test_eq_hash_and_repr_agree_with_a_dataclasses_twin(cls, data):
     values = data.draw(field_values(cls))
@@ -128,7 +137,7 @@ def test_eq_hash_and_repr_agree_with_a_dataclasses_twin(cls, data):
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-@settings(max_examples=10, deadline=None)
+@settings(UNSHRUNK, max_examples=10)
 @given(data=st.data())
 def test_never_equal_to_another_class(cls, data):
     values = data.draw(field_values(cls))
@@ -143,3 +152,15 @@ def test_never_equal_to_another_class(cls, data):
         assert left != right and right != left
         assert not (left == right or right == left)
     assert twin(record) != twin(stranger)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(UNSHRUNK, max_examples=10)
+@given(data=st.data())
+def test_pickling_and_copying_keep_the_fields_alone(cls, data):
+    record = data.draw(records_of(cls))
+    object.__setattr__(record, "_kept", "a value outside the fields")
+    names = [f.name for f in dataclasses.fields(cls)]
+    for made in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(made) is cls and list(vars(made)) == names
+        assert repr(made) == repr(record)  # an error in a field is equal to itself only
