@@ -226,6 +226,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ConfigError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """argparse's, echoing only the first five unrecognized arguments."""
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            shown = extra[:5] + ["..."] if len(extra) > 5 else extra
+            self.error("unrecognized arguments: " + " ".join(shown))
+        return parsed
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ documents as indented JSON.
 
 from __future__ import annotations
 
+import copyreg
 import functools
 import inspect
 import json
@@ -26,7 +27,12 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 
 
 class EstimatorError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  A pickled or
+    copied error is rebuilt from its class, ``args`` and attributes,
+    without calling ``__init__``, whose parameters vary by class."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
 # ---------------------------------------------------------------------------

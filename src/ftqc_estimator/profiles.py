@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -78,9 +77,10 @@ def load_profile(name: str) -> HardwareProfile:
 
 @functools.cache
 def _builtin(name: str) -> HardwareProfile:
-    """A built-in profile, decoded once per process: the package's files
+    """A built-in profile, read from the package's ``profiles`` directory
+    (so not from a zip) and decoded once per process: the package's files
     do not change while it runs, and the record is immutable."""
-    return _load_file(resources.files(__package__).joinpath(f"profiles/{name}.json"))
+    return _load_file(Path(__file__).with_name("profiles") / f"{name}.json")
 
 
 def list_profiles() -> list[HardwareProfile]:

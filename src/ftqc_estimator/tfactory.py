@@ -257,8 +257,7 @@ def search_pipeline(
     scores each chain that reaches the target at once; only then does it
     extend the remaining prefixes, in ascending order of their lookahead
     bound, ties by branch index.  The cheapest prefix usually holds the
-    winner, so the bounds cut the rest early.  With one branch per round
-    the two orders are the same, and the search runs in unit-list order.
+    winner, so the bounds cut the rest early.
     If a formula raises in the ordered search, the search runs again in
     unit-list order (keeping the cost memo and the distance table), which
     returns or raises exactly what that order does.  So a search returns
@@ -323,7 +322,8 @@ def search_pipeline(
     costs: dict[int, tuple[list[tuple[float, int, int]], int]] = {}
     min_inputs = min(unit.num_input_ts for unit in units)
 
-    best_key: Optional[tuple] = None
+    # above every chain's key: every cap is a finite int
+    best_key: tuple = (math.inf,)
     best_plan: Optional[TFactoryPlan] = None
     # per round: (unit, options as (expected duration, unit qubits, distance),
     # qubits of its narrowest option, branch index)
@@ -346,7 +346,7 @@ def search_pipeline(
         # the branch indices break a tie for the chain first in unit-list
         # order, which the ordered search may score later
         key = (cap, total_duration, len(chain), [index for *_, index in chain])
-        if best_key is None or key < best_key:
+        if key < best_key:
             best_key = key
             best_plan = TFactoryPlan(
                 rounds=tuple(
@@ -403,7 +403,7 @@ def search_pipeline(
             raw, narrowest = memo
             if not raw:
                 continue
-            if best_key is not None and narrowest > best_key[0]:
+            if narrowest > best_key[0]:
                 continue
             options = [(duration / (1.0 - failure), q, d) for duration, q, d in raw]
             step = (unit, options, narrowest, index)
@@ -414,7 +414,7 @@ def search_pipeline(
                 # the next round takes at least min_inputs states from this one
                 least = -(-min_inputs // unit.num_output_ts)
                 bound = narrowest_cap(_parallel_units([u for u, _, _, _ in chain], least))
-                if best_key is None or bound <= best_key[0]:
+                if bound <= best_key[0]:
                     if in_order:
                         visit(output)
                     else:
@@ -422,23 +422,20 @@ def search_pipeline(
             chain.pop()
         later.sort()
         for bound, _, step, output in later:
-            if best_key is not None and bound > best_key[0]:
+            if bound > best_key[0]:
                 break
             chain.append(step)
             visit(output)
             chain.pop()
 
-    # one branch per round leaves nothing to reorder
-    in_order = len(branches) == 1
+    in_order = False
     try:
         visit(input_error)
     except Exception:
-        if in_order:
-            raise
         # whatever the ordered pass raised, a search in unit-list order
         # raises the error that order meets first or returns its plan
         in_order = True
-        best_key = best_plan = None
+        best_key, best_plan = (math.inf,), None
         chain.clear()
         visit(input_error)
     if best_plan is None:

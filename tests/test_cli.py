@@ -1116,6 +1116,13 @@ class TestUsage:
         assert_config_error(code, out, err, fragment)
         assert len(err.encode()) < 1000
 
+    def test_many_unrecognized_arguments_are_echoed_short(self, tmp_path, capsys):
+        job = str(write_job(tmp_path))
+        extra = [f"x{i}" for i in range(50_000)]
+        code, out, err = run(capsys, "estimate", "--job", job, *extra)
+        assert_config_error(code, out, err, "unrecognized arguments: x0 ")
+        assert err.count("\n") == 1 and len(err.encode()) <= 2000
+
 
 class TestOneProcessManyCommands:
     """The parser is built once per process and reused; every command still

@@ -11,7 +11,8 @@ Floats are drawn without NaN: a dataclass compares tuples before Python
 3.13 and field by field from 3.13 on, which differ on one NaN object
 compared with itself, and :class:`Record` compares tuples.
 
-Pickling and copying a record keep its fields alone.
+Pickling and copying a record keep its fields alone, and an error keeps
+its type, message and attributes.
 
 Hypothesis does not shrink a failing example here: shrinking nested
 records (reports inside a frontier result) took minutes per failing
@@ -164,3 +165,47 @@ def test_pickling_and_copying_keep_the_fields_alone(cls, data):
     for made in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(made) is cls and list(vars(made)) == names
         assert repr(made) == repr(record)  # an error in a field is equal to itself only
+
+
+# sample arguments of each error class whose __init__ takes its own
+ERROR_ARGUMENTS = {
+    errors.FormulaSyntaxError: (3, "an operand"),
+    errors.UnknownFunctionError: ("sinh", 4),
+    errors.UnboundVariableError: ("v",),
+    errors.UseAfterReleaseError: (1, 2),
+    errors.DoubleAllocError: (1, 2),
+    errors.ArityMismatchError: (5, "cx takes 2 qubits"),
+    errors.InvalidCountsError: ("tCount", "must be >= 0"),
+    errors.AboveThresholdError: (0.02, 0.01),
+    errors.DistanceExhaustedError: (49,),
+    errors.RuntimeTooShortError: (1e6, 1e3),
+    errors.EstimationStageError: ("qec", errors.UnboundVariableError("v")),
+}
+ERRORS = [
+    value
+    for value in vars(errors).values()
+    if isinstance(value, type)
+    and issubclass(value, errors.EstimatorError)
+    and value.__module__ == errors.__name__
+]
+
+
+def test_every_error_with_its_own_arguments_is_sampled():
+    assert {cls for cls in ERRORS if "__init__" in vars(cls)} == set(ERROR_ARGUMENTS)
+
+
+def same_error(made, error) -> None:
+    assert type(made) is type(error) and str(made) == str(error)
+    assert made.args == error.args and list(vars(made)) == list(vars(error))
+    for name, value in vars(error).items():
+        if isinstance(value, BaseException):
+            same_error(getattr(made, name), value)
+        else:
+            assert getattr(made, name) == value
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_pickling_and_copying_keep_an_error(cls):
+    error = cls(*ERROR_ARGUMENTS.get(cls, ("a message",)))
+    for made in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        same_error(made, error)
