@@ -5,21 +5,19 @@ Every error raised deliberately by this package derives from
 programming mistakes with a single ``except`` clause.  The readers below
 decode job JSON into typed values.  Every record is declared with
 :func:`record` and takes ``==``, ``hash`` and ``repr`` from :class:`Record`.
-:class:`JsonRecord` reads and writes every record from its dataclass
-fields, each key the camelCase of its field's name, so a record's keys are
-spelled once, by its fields, and :func:`indented_json` writes records and
-documents as indented JSON.
+:class:`JsonRecord` reads and writes every record from its fields, each
+key the camelCase of its field's name, so a record's keys are spelled once,
+by its fields, and :func:`indented_json` writes records and documents as
+indented JSON.
 """
 
 from __future__ import annotations
 
 import copyreg
 import functools
-import inspect
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from numbers import Real
@@ -283,15 +281,65 @@ def _unreadable(what: str, path, exc: Exception) -> ConfigError:
     return ConfigError(f"cannot read {what} {_shown(str(path))}: {_shown(str(exc))}")
 
 
-class Record:
-    """Mixin giving a dataclass declared with :func:`record` the ``==``,
-    ``hash`` and ``repr`` that ``dataclasses`` would generate for it: equal
-    only to an instance of the same class whose field tuple is equal, the
-    hash of that tuple, and ``Name(field=value, ...)`` in field order.
-    Written once here, they cost nothing per class at import.  A pickled or
-    copied record holds its fields alone, not values kept beside them."""
+_NO_DEFAULT = object()  # the default of a field declared without one
 
+
+class _FromTwin:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a class made
+    by :func:`record`, taken on first use from its twin (see :func:`_twin`),
+    so that ``dataclasses.fields`` and ``dataclasses.replace`` work on
+    records while the package never imports ``dataclasses``.  Any other
+    class has neither, and is no dataclass."""
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner: type):
+        if "_fields" not in vars(owner):
+            raise AttributeError(self.name)
+        return getattr(_twin(owner), self.name)
+
+
+@functools.cache
+def _twin(cls: type) -> type:
+    """A frozen dataclass whose fields have the names, annotations, defaults
+    and keyword-only marks of the fields of ``cls``."""
+    from dataclasses import MISSING, field, make_dataclass
+
+    hints = {}
+    for base in reversed(cls.__mro__):
+        hints.update(getattr(base, "__annotations__", {}))
+    specs = [
+        (name, hints[name], field(default=MISSING if default is _NO_DEFAULT else default,
+                                  kw_only=name in cls._KW_ONLY))
+        for name, default in cls._fields.items()
+    ]
+    return make_dataclass(cls.__name__, specs, frozen=True, eq=False, repr=False)
+
+
+class Record:
+    """Base of the classes declared with :func:`record`, giving each what
+    ``dataclasses`` would generate for a frozen dataclass besides its
+    ``__init__``: ``==``, equal only to an instance of the same class whose
+    field tuple is equal; the hash of that tuple; ``Name(field=value, ...)``
+    as its ``repr``, in field order; setters that raise
+    ``dataclasses.FrozenInstanceError``; and ``__replace__`` for
+    ``copy.replace``.  Written once here, they cost nothing per class at
+    import.  A pickled or copied record holds its fields alone, not values
+    kept beside them."""
+
+    _fields: dict[str, object]  # name: default, or _NO_DEFAULT; set by record()
     _field_names: tuple[str, ...] = ()  # set by record()
+    _KW_ONLY: tuple[str, ...] = ()  # the fields passed to __init__ by keyword only
+    __dataclass_fields__ = _FromTwin()
+    __dataclass_params__ = _FromTwin()
+
+    @classmethod
+    def _field_table(cls) -> dict[str, object]:
+        try:
+            return vars(cls)["_fields"]
+        except KeyError:
+            raise TypeError(f"{cls.__qualname__} is not declared with errors.record") from None
 
     def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._field_names])
@@ -311,15 +359,68 @@ class Record:
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self._field_names}
 
+    def __setattr__(self, name: str, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, /, **changes):
+        return self.__class__(**{**self.__getstate__(), **changes})
+
 
 def record(cls: type) -> type:
-    """``cls``, a :class:`Record`, as a frozen dataclass: ``dataclasses``
-    generates its ``__init__`` and the frozen setters, and :class:`Record`
-    supplies the rest.  Give the class a docstring: without one,
-    ``dataclasses`` writes one from ``inspect.signature`` at import."""
-    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
-    cls._field_names = tuple(f.name for f in fields(cls))
+    """``cls``, a :class:`Record`, with its fields and ``__init__``.
+
+    Its fields are those of its record bases, then its own annotations in
+    order; a class attribute of the same name is a field's default, and a
+    field named in ``_KW_ONLY`` is passed by keyword only.  The generated
+    ``__init__`` sets each field, then calls ``__post_init__`` if the class
+    has one; :class:`Record` supplies the rest, and the ``dataclasses``
+    metadata is made on first use.  As with ``dataclasses``, a positional
+    field without a default after one with a default is a ``TypeError``,
+    and an unhashable default a ``ValueError``."""
+    fields = {}
+    for base in reversed(cls.__mro__[1:]):
+        fields.update(vars(base).get("_fields", {}))
+    fields.update({name: vars(cls).get(name, _NO_DEFAULT) for name in cls.__annotations__})
+    defaulted = None
+    for name, default in fields.items():
+        if default is _NO_DEFAULT:
+            if defaulted and name not in cls._KW_ONLY:
+                raise TypeError(f"non-default argument {name!r} follows default argument {defaulted!r}")
+        elif default.__class__.__hash__ is None:
+            raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
+        elif name not in cls._KW_ONLY:
+            defaulted = name
+    cls._fields = fields
+    cls._field_names = tuple(fields)
+    cls.__match_args__ = tuple(name for name in fields if name not in cls._KW_ONLY)
+    cls.__init__ = _init(cls)
     return cls
+
+
+def _init(cls: type):
+    """The ``__init__`` of ``cls``, compiled from source: the positional
+    fields in order, then the keyword-only ones, each set by
+    ``object.__setattr__``."""
+    keyword = [name for name in cls._field_names if name in cls._KW_ONLY]
+    params = ", ".join(["self", *cls.__match_args__, *(["*", *keyword] if keyword else [])])
+    lines = [f"    __set(self, {name!r}, {name})" for name in cls._field_names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"__set": object.__setattr__}
+    exec(f"def __init__({params}):\n" + ("\n".join(lines) or "    pass"), namespace)
+    init = namespace["__init__"]
+    defaults = {name: default for name, default in cls._fields.items() if default is not _NO_DEFAULT}
+    init.__defaults__ = tuple(defaults[name] for name in cls.__match_args__ if name in defaults)
+    init.__kwdefaults__ = {name: defaults[name] for name in keyword if name in defaults}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _camel(name: str) -> str:
@@ -328,7 +429,7 @@ def _camel(name: str) -> str:
 
 
 class JsonRecord(Record):
-    """Mixin giving a dataclass its JSON form, read and written from its
+    """Mixin giving a record its JSON form, read and written from its
     fields: each field, in field order, under the camelCase of its name or
     under its entry in ``_RENAMED``.
 
@@ -348,20 +449,16 @@ class JsonRecord(Record):
     @functools.cache
     def _json_fields(cls) -> tuple[tuple[str, str], ...]:
         """(attribute, key) per field, in field order."""
-        return tuple((f.name, cls._RENAMED.get(f.name) or _camel(f.name)) for f in fields(cls))
+        return tuple((name, cls._RENAMED.get(name) or _camel(name)) for name in cls._field_table())
 
     @classmethod
     @functools.cache
     def _json_readers(cls) -> tuple[tuple, frozenset, frozenset]:
         """(attribute, key, reader) per field, then all keys and the keys
         of the fields without a default, which are required."""
-        hints = cls._hints()
+        hints, fields = cls._hints(), cls._field_table()
         readers = tuple((attr, key, _reader(hints[attr])) for attr, key in cls._json_fields())
-        required = frozenset(
-            key
-            for f, (_, key) in zip(fields(cls), cls._json_fields())
-            if f.default is MISSING and f.default_factory is MISSING
-        )
+        required = frozenset(key for attr, key in cls._json_fields() if fields[attr] is _NO_DEFAULT)
         return readers, frozenset(key for _, key, _ in readers), required
 
     @classmethod
@@ -402,9 +499,21 @@ class JsonRecord(Record):
         parsed, in field order, before the record checks its values."""
         from . import formulas  # formulas imports this module
 
-        arguments = inspect.signature(cls).bind(*args, **kwargs).arguments
-        for attr, hint in cls._hints().items():
-            if attr in arguments and hint == formulas.FormulaExpr:
+        fields, positional = cls._field_table(), cls.__match_args__
+        if len(args) > len(positional):
+            raise TypeError(f"{cls.__name__}() takes {len(positional)} positional arguments "
+                            f"but {len(args)} were given")
+        arguments = dict(zip(positional, args))
+        for attr, value in kwargs.items():
+            if attr not in fields or attr in arguments:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {attr!r}")
+            arguments[attr] = value
+        missing = [attr for attr, default in fields.items() if default is _NO_DEFAULT and attr not in arguments]
+        if missing:
+            raise TypeError(f"{cls.__name__}() is missing argument(s) {', '.join(missing)}")
+        hints = cls._hints()
+        for attr in fields:
+            if attr in arguments and hints[attr] == formulas.FormulaExpr:
                 arguments[attr] = formulas.parse_formula(arguments[attr])
         return cls(**arguments)
 

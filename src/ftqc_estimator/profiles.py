@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import field
 from pathlib import Path
 from typing import Optional
 
@@ -46,10 +45,11 @@ class HardwareProfile(JsonRecord):
     it uses by default."""
 
     name: str
-    description: str = field(default="", kw_only=True)
+    description: str = ""
     qubit_params: PhysicalQubitParams
     default_scheme_name: str
 
+    _KW_ONLY = ("description",)
     _RENAMED = {"default_scheme_name": "defaultQecScheme"}
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftqc_estimator import cli, jobs
-from ftqc_estimator.errors import JsonRecord, indented_json
+from ftqc_estimator.errors import JsonRecord, indented_json, record
 from ftqc_estimator.formulas import parse_formula
 from ftqc_estimator.pipeline import FrontierResult
 from ftqc_estimator.profiles import list_profiles
@@ -58,7 +58,7 @@ def test_profile_listing_matches_json_dumps(monkeypatch):
     assert indented_json(listed) == oracle([p.as_mapping() for p in listed])
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Node(JsonRecord):
     """A record holding any value, to nest generated values in records."""
 
@@ -66,7 +66,7 @@ class Node(JsonRecord):
     second: object = None
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Empty(JsonRecord):
     pass
 
@@ -113,6 +113,17 @@ def test_booleans_are_json_literals():
     assert indented_json(Node(True, [False])) == (
         '{\n  "firstValue": true,\n  "second": [\n    false\n  ]\n}'
     )
+
+
+def test_a_json_record_not_declared_with_record_raises():
+    @dataclasses.dataclass(frozen=True)
+    class Plain(JsonRecord):
+        """A JSON record whose fields ``record`` never saw."""
+
+        value: int
+
+    with pytest.raises(TypeError, match=r"Plain is not declared with errors\.record"):
+        indented_json(Plain(1))
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

@@ -351,6 +351,16 @@ class TestFromStrings:
         with pytest.raises(TypeError):
             QecScheme.from_strings(*self.ARGS, code_distance=7)
 
+    @pytest.mark.parametrize("args, kwargs", [
+        (("x", 0.03, 0.01, "1 +"), {}),  # physical_qubits_per_logical_qubit missing
+        (("x", 0.03, 0.01, "1 +", "1", 25, 7), {}),  # one positional too many
+        (("x", 0.03, 0.01, "1 +", "1"), {"code_distance": 7}),  # not a field
+        (("x", 0.03, 0.01, "1 +", "1"), {"name": "y"}),  # given twice
+    ])
+    def test_argument_errors_come_before_formula_errors(self, args, kwargs):
+        with pytest.raises(TypeError):
+            QecScheme.from_strings(*args, **kwargs)
+
 
 class TestFormulaRows:
     """The one builder of the rows every scheme and unit formula runs in."""

@@ -12,7 +12,9 @@ Floats are drawn without NaN: a dataclass compares tuples before Python
 compared with itself, and :class:`Record` compares tuples.
 
 Pickling and copying a record keep its fields alone, and an error keeps
-its type, message and attributes.
+its type, message and attributes.  ``dataclasses`` sees every record,
+and its heir, as the frozen dataclass it would make, while ``record``
+rejects the declarations ``dataclasses`` rejects.
 
 Hypothesis does not shrink a failing example here: shrinking nested
 records (reports inside a frontier result) took minutes per failing
@@ -23,6 +25,7 @@ import copy
 import dataclasses
 import functools
 import pickle
+import sys
 import typing
 from enum import Enum
 
@@ -30,7 +33,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ftqc_estimator import errors, formulas
+from ftqc_estimator import errors, formulas, jobs, layout
+from ftqc_estimator.profiles import HardwareProfile, load_profile
+from test_golden import GOLDEN
 from test_public_api import package_dataclasses
 
 RECORDS = package_dataclasses()
@@ -209,3 +214,94 @@ def test_pickling_and_copying_keep_an_error(cls):
     error = cls(*ERROR_ARGUMENTS.get(cls, ("a message",)))
     for made in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
         same_error(made, error)
+
+
+@functools.cache
+def built() -> dict:
+    """One instance of each record class, made by its constructor: the
+    records in three golden jobs, their reports and frontier, a formula with
+    every node kind, a built-in profile and a post-layout estimate."""
+    found = {}
+
+    def walk(value):
+        if type(value) in TWINS:
+            found.setdefault(type(value), value)
+            for name in value._field_names:
+                walk(getattr(value, name))
+        elif type(value) is tuple:
+            for item in value:
+                walk(item)
+
+    for name in ("gate_ns_e3_counts", "copy_limit_slowdown"):
+        job = jobs.load_job(GOLDEN / f"{name}.json")
+        walk((job, jobs.run_job(job)))
+    job = jobs.load_job(GOLDEN / "frontier_custom_units.json")
+    walk((job, jobs.run_frontier(job, [1])))
+    walk((formulas.parse_formula("-sqrt(x) + 1"), load_profile("qubit_gate_ns_e3")))
+    walk(layout.estimate_algorithmic(found[jobs.LogicalCounts], 1e-3))
+    return found
+
+
+def test_every_record_kind_is_built():
+    assert set(built()) == set(RECORDS)
+
+
+@pytest.mark.parametrize("heir", [False, True], ids=["record", "heir"])
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_dataclasses_sees_a_frozen_dataclass(cls, heir):
+    made = built()[cls]
+    if heir:
+        cls = HEIRS[cls]
+        made = cls(**made.__getstate__())
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(made)
+    fields = dataclasses.fields(made)
+    assert tuple(f.name for f in fields) == cls._field_names
+    assert cls.__match_args__ == tuple(f.name for f in fields if not f.kw_only)
+    first = fields[0].name
+    for copied in (dataclasses.replace(made), dataclasses.replace(made, **{first: getattr(made, first)})):
+        assert type(copied) is cls and copied == made
+    if sys.version_info >= (3, 13):
+        assert copy.replace(made) == made and type(copy.replace(made)) is cls
+    for name in cls._field_names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(made, name)
+    assert dataclasses.replace(made) == made  # untouched by the failed writes
+
+
+def test_a_profiles_description_is_keyword_only_and_empty_by_default():
+    fields = {f.name: f for f in dataclasses.fields(HardwareProfile)}
+    assert fields["description"].kw_only and fields["description"].default == ""
+    assert not any(f.kw_only for name, f in fields.items() if name != "description")
+    profile = built()[HardwareProfile]
+    with pytest.raises(TypeError):
+        HardwareProfile(profile.name, "text", profile.qubit_params, profile.default_scheme_name)
+
+
+def test_the_bases_are_not_dataclasses():
+    bases = [errors.Record, errors.JsonRecord, formulas._Node]
+    assert [cls for cls in bases if dataclasses.is_dataclass(cls)] == []
+
+
+DECORATORS = [errors.record, dataclasses.dataclass(frozen=True)]
+
+
+@pytest.mark.parametrize("decorate", DECORATORS, ids=["record", "dataclass"])
+def test_a_field_without_a_default_after_one_with_a_default_is_a_type_error(decorate):
+    class Late(errors.Record):
+        """A required field after a defaulted one."""
+
+        first: int = 1
+        second: int
+
+    with pytest.raises(TypeError, match="'second'"):
+        decorate(Late)
+
+
+@pytest.mark.parametrize("default", [[], {}, set()], ids=type)
+@pytest.mark.parametrize("decorate", DECORATORS, ids=["record", "dataclass"])
+def test_a_mutable_default_is_a_value_error(decorate, default):
+    declared = type("Mutable", (errors.Record,), {"__annotations__": {"value": "object"}, "value": default})
+    with pytest.raises(ValueError, match="mutable default"):
+        decorate(declared)
