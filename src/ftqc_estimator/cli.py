@@ -25,15 +25,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import jobs, profiles
-from .errors import (
-    INFEASIBLE_ERRORS,
-    ConfigError,
-    EstimatorError,
-    _shown,
-    indented_json,
-    read_file,
-    read_number,
-)
+from .errors import INFEASIBLE_ERRORS, ConfigError, EstimatorError, _shown
+from .records import indented_json, read_file, read_number
 from .report import EstimateReport
 
 __all__ = ["main", "cmd_estimate", "cmd_sweep", "cmd_frontier", "cmd_profiles"]

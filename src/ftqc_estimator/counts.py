@@ -37,15 +37,11 @@ from .errors import (
     ArityMismatchError,
     DoubleAllocError,
     InvalidCountsError,
-    JsonRecord,
     TraceFormatError,
     UseAfterReleaseError,
     _shown,
-    _unreadable,
-    read_file,
-    read_record,
-    record,
 )
+from .records import JsonRecord, _unreadable, read_file, read_record, record
 
 __all__ = [
     "TraceEvent",

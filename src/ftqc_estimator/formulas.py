@@ -44,11 +44,10 @@ from .errors import (
     DivisionByZeroError,
     FormulaDomainError,
     FormulaSyntaxError,
-    Record,
     UnboundVariableError,
     UnknownFunctionError,
-    record,
 )
+from .records import Record, record
 
 __all__ = [
     "FormulaExpr",

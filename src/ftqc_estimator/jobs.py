@@ -14,10 +14,11 @@ from typing import Optional, Union
 
 from . import pipeline, profiles
 from .counts import LogicalCounts, count_trace, read_trace
-from .errors import ConfigError, JsonRecord, read_file, record
+from .errors import ConfigError
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .pipeline import ErrorBudget, PostLayoutInput
 from .qec import PhysicalQubitParams, QecScheme, get_scheme
+from .records import JsonRecord, read_file, record
 from .report import EstimateReport
 from .tfactory import DistillationUnit, TFactoryConstraints
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 
 from .counts import LogicalCounts
-from .errors import ConfigError, InvalidBudgetError, JsonRecord, Record, record
+from .errors import ConfigError, InvalidBudgetError
+from .records import JsonRecord, Record, record
 
 __all__ = [
     "RotationSynthesisConstants",

@@ -25,12 +25,10 @@ from .errors import (
     EstimationStageError,
     EstimatorError,
     InvalidPartitionError,
-    JsonRecord,
-    Record,
-    record,
 )
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .qec import PhysicalQubitParams, QecScheme
+from .records import JsonRecord, Record, record
 from .report import (
     ErrorBudget,
     EstimateReport,

@@ -16,8 +16,9 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, JsonRecord, _shown, read_file, record
+from .errors import ConfigError, _shown
 from .qec import PhysicalQubitParams
+from .records import JsonRecord, read_file, record
 
 __all__ = [
     "HardwareProfile",

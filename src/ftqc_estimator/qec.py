@@ -24,11 +24,10 @@ from .errors import (
     ConfigError,
     DistanceExhaustedError,
     InvalidPartitionError,
-    JsonRecord,
     _shown,
-    record,
 )
 from .formulas import FormulaExpr
+from .records import JsonRecord, record
 
 __all__ = [
     "InstructionSet",

@@ -5,7 +5,7 @@ a fixed schema even for degenerate workloads: physical resource
 estimates, the resource breakdown, logical qubit parameters, T factory
 parameters, pre-layout logical resources, the assumed error budget, the
 physical qubit parameters, and the estimation assumptions.  Each key is
-the camelCase of a field name (see :class:`~.errors.JsonRecord`).
+the camelCase of a field name (see :class:`~.records.JsonRecord`).
 The assumed error budget is an :class:`ErrorBudget`, the record a job's
 ``errorBudget`` is read into, so a report's split reads back as a budget.
 """
@@ -15,15 +15,9 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .counts import LogicalCounts
-from .errors import (
-    ConfigError,
-    InvalidPartitionError,
-    JsonRecord,
-    indented_json,
-    read_number,
-    record,
-)
+from .errors import ConfigError, InvalidPartitionError
 from .qec import LogicalQubitProfile, PhysicalQubitParams
+from .records import JsonRecord, indented_json, read_number, record
 from .tfactory import TFactoryPlan
 
 __all__ = [

@@ -37,14 +37,13 @@ from .errors import (
     FactoryConstraintInfeasibleError,
     FormulaDomainError,
     InvalidPartitionError,
-    JsonRecord,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
     _shown,
-    record,
 )
 from .formulas import FormulaExpr
 from .qec import _DISTANCE_VARIABLES, PhysicalQubitParams, QecScheme, _base_row, _distance_row
+from .records import JsonRecord, record
 
 __all__ = [
     "Applicability",

@@ -25,8 +25,8 @@ from ftqc_estimator.errors import (
     InvalidCountsError,
     TraceFormatError,
     UseAfterReleaseError,
-    read_file,
 )
+from ftqc_estimator.records import read_file
 
 
 def ev(op, *qubits):

@@ -1,6 +1,6 @@
 """The indented JSON writer against ``json.dumps(..., indent=2)``.
 
-``errors.indented_json`` writes reports, frontier documents and profile
+``records.indented_json`` writes reports, frontier documents and profile
 listings.  Each must match ``json.dumps`` of the value's mapping with
 ``indent=2, allow_nan=False`` byte for byte, including the ``ValueError``
 that a non-finite float raises.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftqc_estimator import cli, jobs
-from ftqc_estimator.errors import JsonRecord, indented_json, record
+from ftqc_estimator.records import JsonRecord, indented_json, record
 from ftqc_estimator.formulas import parse_formula
 from ftqc_estimator.pipeline import FrontierResult
 from ftqc_estimator.profiles import list_profiles
@@ -122,19 +122,15 @@ def test_a_json_record_not_declared_with_record_raises():
 
         value: int
 
-    with pytest.raises(TypeError, match=r"Plain is not declared with errors\.record"):
+    with pytest.raises(TypeError, match=r"Plain is not declared with records\.record"):
         indented_json(Plain(1))
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_report_value_raises_jsons_error(bad):
     report = golden_report("gate_ns_e3_counts")
-    broken = dataclasses.replace(
-        report,
-        physical_resource_estimates=dataclasses.replace(
-            report.physical_resource_estimates, runtime=bad
-        ),
-    )
+    estimates = report.physical_resource_estimates.__replace__(runtime=bad)
+    broken = report.__replace__(physical_resource_estimates=estimates)
     with pytest.raises(ValueError) as expected:
         oracle(broken.as_mapping())
     assert str(expected.value) == f"Out of range float values are not JSON compliant: {bad!r}"
@@ -148,7 +144,7 @@ def test_non_finite_frontier_point_raises_jsons_error(bad, monkeypatch, tmp_path
     monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
     job = jobs.load_job(GOLDEN / "frontier_custom_units.json")
     point = jobs.run_frontier(job, [1]).points[0]
-    broken = FrontierResult(points=(dataclasses.replace(point, runtime=bad),), errors=())
+    broken = FrontierResult(points=(point.__replace__(runtime=bad),), errors=())
     monkeypatch.setattr(jobs, "run_frontier", lambda job, grid: broken)
     out = tmp_path / "frontier.json"
     message = f"Out of range float values are not JSON compliant: {bad!r}"

@@ -16,7 +16,6 @@ from ftqc_estimator.errors import (
     ConfigError,
     EstimationStageError,
     InvalidPartitionError,
-    JsonRecord,
     NoFeasiblePipelineError,
 )
 from ftqc_estimator.jobs import load_job, run_job
@@ -30,6 +29,7 @@ from ftqc_estimator.pipeline import (
 )
 from ftqc_estimator.profiles import BUILTIN_PROFILE_NAMES, load_profile
 from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE, QecScheme
+from ftqc_estimator.records import JsonRecord
 from ftqc_estimator.tfactory import DEFAULT_15_TO_1, TFactoryConstraints
 from test_qec import gate_params, majorana_params
 

@@ -1,8 +1,9 @@
 """Public API: each module's ``__all__`` and the names the package exports."""
 
 import ast
-import dataclasses
 import importlib
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import ftqc_estimator
+from ftqc_estimator.errors import EstimatorError
+from ftqc_estimator.records import Record
 
 PACKAGE = Path(ftqc_estimator.__file__).parent
 MODULES = {
@@ -27,15 +30,17 @@ def star_names(module):
     return [name for name in vars(module) if not name.startswith("_")]
 
 
-def package_dataclasses():
-    """Every dataclass the package's modules define, in module order."""
+def package_records():
+    """Every record the package's modules declare with ``record``: a
+    :class:`Record` with a field table of its own, in module order."""
     return [
         value
         for module in MODULES.values()
         for value in vars(module).values()
         if isinstance(value, type)
         and value.__module__ == module.__name__
-        and dataclasses.is_dataclass(value)
+        and issubclass(value, Record)
+        and "_fields" in vars(value)
     ]
 
 
@@ -94,43 +99,70 @@ def test_no_module_reads_generator_or_frame_internals(name):
     assert sorted(FRAME_NAMES.intersection(names_read(tree))) == []
 
 
-# Importing the package should generate only what each dataclass needs:
-# ``==``, ``hash`` and ``repr`` come from errors.Record, and a class
-# without a docstring makes dataclasses build one from its signature.
+# Every record takes ``==``, ``hash`` and ``repr`` from records.Record,
+# written once there, and documents itself.
 
 
-@pytest.mark.parametrize("cls", package_dataclasses(), ids=lambda cls: cls.__name__)
-def test_dataclass_generates_no_eq_hash_or_repr(cls):
+@pytest.mark.parametrize("cls", package_records(), ids=lambda cls: cls.__name__)
+def test_record_defines_no_eq_hash_or_repr(cls):
     assert [name for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)] == []
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
-def test_every_dataclass_has_its_own_docstring(name):
+def test_every_record_has_its_own_docstring(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
-    dataclass_names = {
-        cls.__name__ for cls in package_dataclasses() if cls.__module__ == f"ftqc_estimator.{name}"
+    record_names = {
+        cls.__name__ for cls in package_records() if cls.__module__ == f"ftqc_estimator.{name}"
     }
     undocumented = [
         node.name
         for node in tree.body
         if isinstance(node, ast.ClassDef)
-        and node.name in dataclass_names
+        and node.name in record_names
         and not ast.get_docstring(node)
     ]
     assert undocumented == []
 
 
-def test_importing_the_cli_leaves_csv_for_sweep():
+def test_errors_holds_only_errors():
+    # the record layer lives in records, which imports errors, not the reverse
+    errors = MODULES["errors"]
+    classes = [value for value in vars(errors).values() if isinstance(value, type)]
+    declared = [cls for cls in classes if cls.__module__ == errors.__name__]
+    assert declared and [cls for cls in declared if not issubclass(cls, EstimatorError)] == []
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse((PACKAGE / "errors.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert imported == set()
+
+
+def test_running_jobs_from_the_cli_leaves_csv_for_sweep_and_dataclasses_unloaded(tmp_path):
     # -S too: a site hook may import importlib.resources itself; built-in
     # profiles are read beside the package's files, without it.  Records
     # are made without dataclasses, which would bring inspect and its parsers
+    golden = Path(__file__).parent / "golden"
+    runs = {
+        "gate_ns_e3_counts": ["estimate"],
+        "frontier_custom_units": ["frontier", "--slowdown-grid", "1,1.5,2,4,8"],
+    }
+    argvs = [
+        [command, "--job", str(golden / f"{name}.json"), *rest, "--out", str(tmp_path / name)]
+        for name, (command, *rest) in runs.items()
+    ]
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import ftqc_estimator.cli; "
-        "print([name for name in sys.argv[2:] if name in sys.modules])"
+        "import json, sys; sys.path.insert(0, sys.argv[1]); from ftqc_estimator import cli; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]; "
+        "print(json.dumps([codes, [name for name in sys.argv[3:] if name in sys.modules]]))"
     )
     unused = ["csv", "importlib.resources", "dataclasses", "inspect", "ast", "dis", "tokenize"]
+    env = {key: value for key, value in os.environ.items() if key != "FTQC_PROFILE_DIR"}
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent), *unused],
-        capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent), json.dumps(argvs), *unused],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
     )
-    assert done.stdout.strip() == "[]"
+    assert json.loads(done.stdout) == [[0, 0], []]
+    for name in runs:
+        expected = json.loads((golden / "expected" / f"{name}.json").read_text())
+        assert (tmp_path / name).read_text(encoding="utf-8") == expected["stdout"]

@@ -1,6 +1,6 @@
 """QEC engine: distance selection, qubit profiles, and parameter validation."""
 
-import dataclasses
+import inspect
 import math
 import pickle
 
@@ -334,13 +334,13 @@ class TestFromStrings:
         assert raised.value.position == 3
 
     def test_keywords_equal_positions(self):
-        names = [f.name for f in dataclasses.fields(QecScheme)]
+        names = QecScheme._field_names
         by_keyword = QecScheme.from_strings(**dict(zip(names, self.ARGS)))
         assert by_keyword == QecScheme.from_strings(*self.ARGS)
 
     def test_omitted_max_code_distance_takes_the_field_default(self):
         scheme = QecScheme.from_strings(*self.ARGS[:-1])
-        default = QecScheme.__dataclass_fields__["max_code_distance"].default
+        default = inspect.signature(QecScheme).parameters["max_code_distance"].default
         assert scheme.max_code_distance == default == SURFACE_CODE.max_code_distance
 
     def test_missing_or_extra_arguments_are_type_errors(self):

@@ -1,5 +1,5 @@
-"""Records: the ``==``, ``hash`` and ``repr`` that every package dataclass
-takes from :class:`ftqc_estimator.errors.Record` agree with the ones
+"""Records: the ``==``, ``hash`` and ``repr`` that every package record
+takes from :class:`ftqc_estimator.records.Record` agree with the ones
 ``dataclasses`` generates, on records nested in records and on formula
 trees too.
 
@@ -12,9 +12,9 @@ Floats are drawn without NaN: a dataclass compares tuples before Python
 compared with itself, and :class:`Record` compares tuples.
 
 Pickling and copying a record keep its fields alone, and an error keeps
-its type, message and attributes.  ``dataclasses`` sees every record,
-and its heir, as the frozen dataclass it would make, while ``record``
-rejects the declarations ``dataclasses`` rejects.
+its type, message and attributes.  ``__replace__`` copies a record or
+changes one field, the setters raise ``dataclasses.FrozenInstanceError``,
+and ``record`` rejects the declarations ``dataclasses`` rejects.
 
 Hypothesis does not shrink a failing example here: shrinking nested
 records (reports inside a frontier result) took minutes per failing
@@ -24,6 +24,7 @@ class, so a failure is reported with the example that found it.
 import copy
 import dataclasses
 import functools
+import inspect
 import pickle
 import sys
 import typing
@@ -33,21 +34,19 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ftqc_estimator import errors, formulas, jobs, layout
+from ftqc_estimator import errors, formulas, jobs, layout, records
 from ftqc_estimator.profiles import HardwareProfile, load_profile
 from test_golden import GOLDEN
-from test_public_api import package_dataclasses
+from test_public_api import package_records
 
-RECORDS = package_dataclasses()
+RECORDS = package_records()
 UNSHRUNK = settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 TWINS = {
-    cls: dataclasses.make_dataclass(
-        cls.__qualname__, [f.name for f in dataclasses.fields(cls)], frozen=True
-    )
+    cls: dataclasses.make_dataclass(cls.__qualname__, cls._field_names, frozen=True)
     for cls in RECORDS
 }
 # a record subclass of each, with the same fields
-HEIRS = {cls: errors.record(type(cls.__name__, (cls,), {"__doc__": "An heir."})) for cls in RECORDS}
+HEIRS = {cls: records.record(type(cls.__name__, (cls,), {"__doc__": "An heir."})) for cls in RECORDS}
 
 
 def bare(cls, values: dict):
@@ -61,8 +60,7 @@ def bare(cls, values: dict):
 def twin(value):
     """``value`` with each record in it, at any depth, replaced by its twin."""
     if type(value) in TWINS:
-        fields = dataclasses.fields(value)
-        return TWINS[type(value)](**{f.name: twin(getattr(value, f.name)) for f in fields})
+        return TWINS[type(value)](**{name: twin(getattr(value, name)) for name in value._field_names})
     if type(value) is tuple:
         return tuple(twin(item) for item in value)
     return value
@@ -72,9 +70,7 @@ def twin(value):
 def field_values(cls) -> st.SearchStrategy:
     """Dicts of values for the fields of ``cls``, drawn by annotation."""
     hints = typing.get_type_hints(cls)
-    return st.fixed_dictionaries(
-        {f.name: values_of(hints[f.name]) for f in dataclasses.fields(cls)}
-    )
+    return st.fixed_dictionaries({name: values_of(hints[name]) for name in cls._field_names})
 
 
 def records_of(cls) -> st.SearchStrategy:
@@ -115,7 +111,7 @@ def values_of(hint) -> st.SearchStrategy:
         return st.sampled_from(hint)
     if issubclass(hint, errors.EstimatorError):
         return st.text(max_size=6).map(hint)
-    if dataclasses.is_dataclass(hint):
+    if issubclass(hint, records.Record):
         return records_of(hint)
     raise TypeError(f"no values for fields of type {hint!r}")
 
@@ -124,7 +120,7 @@ def test_every_record_kind_is_covered():
     names = {cls.__name__ for cls in RECORDS}
     assert {"AlgorithmicLogicalEstimate", "FrontierPoint", "FrontierResult"} <= names
     assert {"Number", "Variable", "Call", "Neg", "BinOp"} <= names
-    assert all(issubclass(cls, errors.Record) for cls in RECORDS)
+    assert all(issubclass(cls, records.Record) for cls in RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -166,7 +162,7 @@ def test_never_equal_to_another_class(cls, data):
 def test_pickling_and_copying_keep_the_fields_alone(cls, data):
     record = data.draw(records_of(cls))
     object.__setattr__(record, "_kept", "a value outside the fields")
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = list(cls._field_names)
     for made in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(made) is cls and list(vars(made)) == names
         assert repr(made) == repr(record)  # an error in a field is equal to itself only
@@ -246,50 +242,58 @@ def test_every_record_kind_is_built():
     assert set(built()) == set(RECORDS)
 
 
+def unchecked(cls) -> type:
+    """A heir of ``cls`` whose ``__post_init__`` checks no value, so that
+    any field can be set to any object."""
+    namespace = {"__doc__": "An unchecked heir.", "__post_init__": lambda self: None}
+    return records.record(type(cls.__name__, (cls,), namespace))
+
+
 @pytest.mark.parametrize("heir", [False, True], ids=["record", "heir"])
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_dataclasses_sees_a_frozen_dataclass(cls, heir):
+def test_replace_changes_only_the_given_fields_and_setters_raise(cls, heir):
     made = built()[cls]
     if heir:
         cls = HEIRS[cls]
         made = cls(**made.__getstate__())
-    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(made)
-    fields = dataclasses.fields(made)
-    assert tuple(f.name for f in fields) == cls._field_names
-    assert cls.__match_args__ == tuple(f.name for f in fields if not f.kw_only)
-    first = fields[0].name
-    for copied in (dataclasses.replace(made), dataclasses.replace(made, **{first: getattr(made, first)})):
-        assert type(copied) is cls and copied == made
+    parameters = inspect.signature(cls).parameters.values()
+    assert sorted(p.name for p in parameters) == sorted(cls._field_names)
+    assert cls.__match_args__ == tuple(p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD)
+    copies = [made.__replace__()]
     if sys.version_info >= (3, 13):
-        assert copy.replace(made) == made and type(copy.replace(made)) is cls
+        copies.append(copy.replace(made))
+    for copied in copies:
+        assert type(copied) is cls and copied == made
+    loose = unchecked(cls)(**made.__getstate__()) if hasattr(cls, "__post_init__") else made
+    new = object()
+    for name in cls._field_names:
+        changed = loose.__replace__(**{name: new})
+        kept = {other: value for other, value in vars(changed).items() if value is getattr(loose, other)}
+        assert type(changed) is type(loose) and vars(changed) == {**kept, name: new}
+        assert list(kept) == [other for other in cls._field_names if other != name]
     for name in cls._field_names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(made, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(made, name)
-    assert dataclasses.replace(made) == made  # untouched by the failed writes
+    assert made.__replace__() == made  # untouched by the failed writes
 
 
 def test_a_profiles_description_is_keyword_only_and_empty_by_default():
-    fields = {f.name: f for f in dataclasses.fields(HardwareProfile)}
-    assert fields["description"].kw_only and fields["description"].default == ""
-    assert not any(f.kw_only for name, f in fields.items() if name != "description")
+    parameters = inspect.signature(HardwareProfile).parameters
+    assert [name for name, p in parameters.items() if p.kind is p.KEYWORD_ONLY] == ["description"]
+    assert parameters["description"].default == ""
     profile = built()[HardwareProfile]
     with pytest.raises(TypeError):
         HardwareProfile(profile.name, "text", profile.qubit_params, profile.default_scheme_name)
 
 
-def test_the_bases_are_not_dataclasses():
-    bases = [errors.Record, errors.JsonRecord, formulas._Node]
-    assert [cls for cls in bases if dataclasses.is_dataclass(cls)] == []
-
-
-DECORATORS = [errors.record, dataclasses.dataclass(frozen=True)]
+DECORATORS = [records.record, dataclasses.dataclass(frozen=True)]
 
 
 @pytest.mark.parametrize("decorate", DECORATORS, ids=["record", "dataclass"])
 def test_a_field_without_a_default_after_one_with_a_default_is_a_type_error(decorate):
-    class Late(errors.Record):
+    class Late(records.Record):
         """A required field after a defaulted one."""
 
         first: int = 1
@@ -302,6 +306,6 @@ def test_a_field_without_a_default_after_one_with_a_default_is_a_type_error(deco
 @pytest.mark.parametrize("default", [[], {}, set()], ids=type)
 @pytest.mark.parametrize("decorate", DECORATORS, ids=["record", "dataclass"])
 def test_a_mutable_default_is_a_value_error(decorate, default):
-    declared = type("Mutable", (errors.Record,), {"__annotations__": {"value": "object"}, "value": default})
+    declared = type("Mutable", (records.Record,), {"__annotations__": {"value": "object"}, "value": default})
     with pytest.raises(ValueError, match="mutable default"):
         decorate(declared)

@@ -1,6 +1,6 @@
 """T factory search and fleet sizing."""
 
-import dataclasses
+import inspect
 import itertools
 import math
 from unittest import mock
@@ -115,13 +115,13 @@ class TestFromStrings:
             DistillationUnit.from_strings("bad", 5, 5, "0", "(", "1", "1")
 
     def test_keywords_equal_positions(self):
-        names = [f.name for f in dataclasses.fields(DistillationUnit)]
+        names = DistillationUnit._field_names
         by_keyword = DistillationUnit.from_strings(**dict(zip(names, self.ARGS)))
         assert by_keyword == DistillationUnit.from_strings(*self.ARGS)
 
     def test_omitted_applicability_takes_the_field_default(self):
         unit = DistillationUnit.from_strings(*self.ARGS)
-        default = DistillationUnit.__dataclass_fields__["applicability"].default
+        default = inspect.signature(DistillationUnit).parameters["applicability"].default
         assert unit.applicability is default is Applicability.BOTH
 
     def test_missing_or_extra_arguments_are_type_errors(self):
@@ -177,8 +177,8 @@ class TestSearchPipeline:
 
     @pytest.mark.parametrize("field", ["physical_qubits", "duration"])
     def test_overflowing_cost_invalidates_round(self, field):
-        huge = dataclasses.replace(
-            DEFAULT_15_TO_1, name="huge", **{field: formulas.parse_formula("1e300 * 1e300")}
+        huge = DEFAULT_15_TO_1.__replace__(
+            name="huge", **{field: formulas.parse_formula("1e300 * 1e300")}
         )
         with pytest.raises(NoFeasiblePipelineError):
             search_pipeline((huge,), FLOQUET_CODE, majorana_params(), 1e-4, 1e-10)
@@ -194,8 +194,7 @@ class TestSearchPipeline:
     def test_scheme_formulas_see_only_times_and_distance(self, name):
         # a distance's row holds the unit variables too, but only after the
         # scheme's formulas have run in it
-        scheme = dataclasses.replace(
-            FLOQUET_CODE,
+        scheme = FLOQUET_CODE.__replace__(
             logical_cycle_time=formulas.parse_formula(
                 f"3 * codeDistance * oneQubitMeasurementTime + 0 * {name}"
             ),
@@ -263,7 +262,7 @@ class TestSearchPipeline:
         scheme = QecScheme.from_strings(
             "unbound", 0.07, 0.01, "codeDistance * cycleTime", "4 * codeDistance ^ 2"
         )
-        physical = dataclasses.replace(DEFAULT_15_TO_1, applicability=Applicability.PHYSICAL_ONLY)
+        physical = DEFAULT_15_TO_1.__replace__(applicability=Applicability.PHYSICAL_ONLY)
         with pytest.raises(UnboundVariableError, match="cycleTime"):
             search_pipeline((physical,), scheme, majorana_params(), 1e-4, 1e-10)
 
@@ -305,8 +304,8 @@ DISTANCE_AWARE = DistillationUnit.from_strings(
 )
 
 
-LOGICAL_15_TO_1 = dataclasses.replace(
-    DEFAULT_15_TO_1, name="15-to-1-logical", applicability=Applicability.LOGICAL_ONLY
+LOGICAL_15_TO_1 = DEFAULT_15_TO_1.__replace__(
+    name="15-to-1-logical", applicability=Applicability.LOGICAL_ONLY
 )
 
 
@@ -427,10 +426,10 @@ class TestSearchMatchesOracle:
             "2 * codeDistance ^ 2 - 8",
             max_code_distance=13,
         )
-        unit = dataclasses.replace(DISTANCE_AWARE, applicability=Applicability.BOTH)
+        unit = DISTANCE_AWARE.__replace__(applicability=Applicability.BOTH)
         assert 1 in unit.allowed_distances(scheme.max_code_distance)
         units = (DEFAULT_15_TO_1, unit)
-        logical = [dataclasses.replace(u, applicability=Applicability.LOGICAL_ONLY) for u in units]
+        logical = [u.__replace__(applicability=Applicability.LOGICAL_ONLY) for u in units]
         params = majorana_params(t_gate_error_rate=1e-3)
         expected = oracle_search(logical, scheme, params, 1e-3, 1e-9)
         plan = search_pipeline(units, scheme, params, 1e-3, 1e-9)
@@ -455,8 +454,8 @@ def physical_unit(name, inputs, outputs, failure, output, qubits, duration):
 
 
 # one round of it reaches 1e-7 from 1e-3 at 31 logical qubits' footprint
-PHYSICAL_15_TO_1 = dataclasses.replace(
-    DEFAULT_15_TO_1, name="15-to-1-physical", applicability=Applicability.PHYSICAL_ONLY
+PHYSICAL_15_TO_1 = DEFAULT_15_TO_1.__replace__(
+    name="15-to-1-physical", applicability=Applicability.PHYSICAL_ONLY
 )
 
 
@@ -540,8 +539,7 @@ class TestSearchBounds:
     def test_costs_that_read_the_input_error_are_not_memoized(self, small_scheme):
         # both rounds use this unit; the second sees a far cleaner input, so
         # it is narrower and shorter than the first
-        noisy = dataclasses.replace(
-            PHYSICAL_15_TO_1,
+        noisy = PHYSICAL_15_TO_1.__replace__(
             name="noisy-cost",
             physical_qubits=formulas.parse_formula(
                 "31 * physicalQubitsPerLogicalQubit * (1 + 100 * inputErrorRate)"
@@ -637,7 +635,7 @@ def unit_sets(draw):
         if units and draw(st.booleans()):
             # a renamed copy: chains through either tie on every key
             copied = draw(st.sampled_from(units))
-            units.append(dataclasses.replace(copied, name=f"unit-{index}"))
+            units.append(copied.__replace__(name=f"unit-{index}"))
             continue
         outputs = draw(st.integers(1, 4))
         values = dict(
@@ -711,7 +709,7 @@ def tied_pairs(draw):
                            str(narrow_inputs * k), str(draw(st.integers(1, 50))))
     copies = draw(st.lists(st.sampled_from((wide, narrow)), max_size=2))
     return (wide, narrow) + tuple(
-        dataclasses.replace(unit, name=f"{unit.name}-copy-{i}") for i, unit in enumerate(copies)
+        unit.__replace__(name=f"{unit.name}-copy-{i}") for i, unit in enumerate(copies)
     )
 
 
