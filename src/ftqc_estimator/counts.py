@@ -277,10 +277,9 @@ def _decode(line: str, context: str) -> TraceEvent:
     """The event of one stripped, non-blank trace line, by ``json.loads``."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"bad JSON at {context}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # int-string limit, or nested too deep
-        raise TraceFormatError(f"bad JSON at {context}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, int-string limit, or nested too deep
+        # a JSONDecodeError shows its msg, which leaves out the position
+        raise TraceFormatError(f"bad JSON at {context}: {getattr(exc, 'msg', exc)}") from exc
     return TraceEvent.from_mapping(record, context)
 
 

@@ -23,6 +23,8 @@ from .errors import (
     AboveThresholdError,
     ConfigError,
     DistanceExhaustedError,
+    DivisionByZeroError,
+    FormulaDomainError,
     InvalidPartitionError,
     _shown,
 )
@@ -122,6 +124,7 @@ def _times(params: PhysicalQubitParams) -> dict[str, float]:
     record as an attribute outside its fields (so outside ``==``, ``hash``,
     ``repr``, its JSON and pickling).  Every caller shares the one dict and
     copies it into a formula environment, never changing it."""
+    # kept by hand: a functools.cached_property costs ~16 ns more a call (timeit, 3.11)
     try:
         return params._times
     except AttributeError:
@@ -287,12 +290,6 @@ _DISTANCE_VARIABLES = frozenset(
 )
 
 
-def _base_row(params: PhysicalQubitParams) -> dict[str, float]:
-    """The formula row that reads no code distance: the operation times
-    and ``cliffordErrorRate``."""
-    return {**_times(params), "cliffordErrorRate": params.clifford_error_rate}
-
-
 def _distance_row(
     scheme: QecScheme, params: PhysicalQubitParams, code_distance: int
 ) -> dict[str, float]:
@@ -311,6 +308,37 @@ def _distance_row(
     row["physicalQubitsPerLogicalQubit"] = float(math.ceil(footprint))
     row["logicalCycleTime"] = cycle_time
     return row
+
+
+class _Rows(dict):
+    """The formula rows of one factory search, by code distance.
+
+    Every formula of a search runs in a row of one table, private to the
+    search.  ``None`` maps to the base row, the operation times and
+    ``cliffordErrorRate``, which the error formulas of a distance-free unit
+    read.  A code distance maps to the variables of a round at that
+    distance, built by :func:`_distance_row` the first time it is read, or
+    to None where :class:`QecScheme`'s distance-1 rule drops the round: a
+    ``ConfigError``, ``FormulaDomainError`` or ``DivisionByZeroError`` at
+    distance 1.  Any other error, or any error at another distance,
+    propagates.  The search writes a row's ``inputErrorRate`` just before
+    each evaluation.
+    """
+
+    __slots__ = ("scheme", "params")
+
+    def __init__(self, scheme: QecScheme, params: PhysicalQubitParams):
+        self[None] = {**_times(params), "cliffordErrorRate": params.clifford_error_rate}
+        self.scheme, self.params = scheme, params
+
+    def __missing__(self, distance: int) -> Optional[dict[str, float]]:
+        try:
+            self[distance] = _distance_row(self.scheme, self.params, distance)
+        except (ConfigError, FormulaDomainError, DivisionByZeroError):
+            if distance != 1:
+                raise
+            self[distance] = None
+        return self[distance]
 
 
 def evaluate_scheme_formulas(

@@ -83,10 +83,9 @@ def read_file(path, what: str, parse: Callable = json.loads):
         return parse(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(what, path, exc) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {shown} is not valid JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # int-string limit, or nested too deep
-        raise ConfigError(f"{what} {shown} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, int-string limit, or nested too deep
+        # a JSONDecodeError shows its msg, which leaves out the position
+        raise ConfigError(f"{what} {shown} is not valid JSON: {getattr(exc, 'msg', exc)}") from exc
 
 
 def _unreadable(what: str, path, exc: Exception) -> ConfigError:

@@ -33,16 +33,14 @@ from typing import Optional, Sequence
 from . import formulas
 from .errors import (
     ConfigError,
-    DivisionByZeroError,
     FactoryConstraintInfeasibleError,
-    FormulaDomainError,
     InvalidPartitionError,
     NoFeasiblePipelineError,
     RuntimeTooShortError,
     _shown,
 )
 from .formulas import FormulaExpr
-from .qec import _DISTANCE_VARIABLES, PhysicalQubitParams, QecScheme, _base_row, _distance_row
+from .qec import _DISTANCE_VARIABLES, PhysicalQubitParams, QecScheme, _Rows
 from .records import JsonRecord, record
 
 __all__ = [
@@ -225,12 +223,9 @@ def search_pipeline(
     distance.  A chain that reaches the target is scored, never extended:
     another round can only widen the copy and lengthen the run.
 
-    Every formula runs in a row of one table, private to the call and
-    filled lazily with rows that :mod:`qec` builds: a code distance maps to
-    the variables of a round at that distance (None where the scheme
-    rejects distance 1), and None to the base row, which the error formulas
-    of a distance-free unit read.  A row's ``inputErrorRate`` is written
-    just before each evaluation.  A branch whose cost formulas do not read
+    Every formula runs in a row of one :class:`qec._Rows` table, made per
+    call, which builds each row and drops what the scheme rejects at
+    distance 1.  A branch whose cost formulas do not read
     ``inputErrorRate`` has the same raw qubits and duration in every chain;
     they are memoized per search, with the narrowest of them, the first
     time the branch gets that far, so failure, output and costs are still
@@ -258,7 +253,7 @@ def search_pipeline(
     bound, ties by branch index.  The cheapest prefix usually holds the
     winner, so the bounds cut the rest early.
     If a formula raises in the ordered search, the search runs again in
-    unit-list order (keeping the cost memo and the distance table), which
+    unit-list order (keeping the cost memo and the row table), which
     returns or raises exactly what that order does.  So a search returns
     the plan, or raises the error, of a unit-list-order search, except
     that an error met only in work the ordered search cuts is skipped,
@@ -286,18 +281,7 @@ def search_pipeline(
     if not 0.0 < required_error < 1.0:
         raise ConfigError(f"the T-state error target must be in (0, 1), got {required_error!r}")
 
-    table: dict[Optional[int], Optional[dict[str, float]]] = {None: _base_row(params)}
-
-    def variables_at(distance: Optional[int]) -> Optional[dict[str, float]]:
-        if distance not in table:
-            try:
-                table[distance] = _distance_row(scheme, params, distance)
-            except (ConfigError, FormulaDomainError, DivisionByZeroError):
-                if distance != 1:  # QecScheme's rule: no physical-level round
-                    raise
-                table[distance] = None
-        return table[distance]
-
+    rows = _Rows(scheme, params)
     # (unit, distance its errors are evaluated at or None, distance options,
     # whether its costs ignore the input error, and the unit's position if
     # it branches per distance while its failure formula reads no distance)
@@ -366,7 +350,7 @@ def search_pipeline(
         # no distance, from its first branch here: the same at every distance
         failures: dict[int, float] = {}
         for index, (unit, at, distances, fixed_cost, shared) in enumerate(branches):
-            env = variables_at(at)
+            env = rows[at]
             if env is None:
                 continue
             env["inputErrorRate"] = error
@@ -385,7 +369,7 @@ def search_pipeline(
             if memo is None:
                 raw = []
                 for d in distances:
-                    env = variables_at(d)
+                    env = rows[d]
                     if env is None:
                         continue
                     env["inputErrorRate"] = error
@@ -503,6 +487,7 @@ def size_fleet(
 
 def _sized(plan: TFactoryPlan, num_copies: int, runs_per_copy: int) -> TFactoryPlan:
     """``plan`` with its fleet filled in."""
+    # by position, not Record.__replace__: ~1.0 us against ~2.3 us a copy (timeit, 3.11)
     return TFactoryPlan(
         plan.rounds,
         plan.output_error_rate,

@@ -138,6 +138,30 @@ def test_errors_holds_only_errors():
     assert imported == set()
 
 
+def test_only_qec_builds_formula_rows_and_applies_the_distance_1_rule():
+    # the factory search reads a qec._Rows table; it builds no row itself
+    # and catches no formula error
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    moved = {"FormulaDomainError", "DivisionByZeroError", "_distance_row", "_base_row"}
+    assert moved & set(names(trees["tfactory"])) == set()
+    callers = {
+        stem
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "_distance_row" in names(node.func)
+    }
+    assert callers == {"qec"}
+
+
 def test_running_jobs_from_the_cli_leaves_csv_for_sweep_and_dataclasses_unloaded(tmp_path):
     # -S too: a site hook may import importlib.resources itself; built-in
     # profiles are read beside the package's files, without it.  Records
@@ -159,7 +183,7 @@ def test_running_jobs_from_the_cli_leaves_csv_for_sweep_and_dataclasses_unloaded
     unused = ["csv", "importlib.resources", "dataclasses", "inspect", "ast", "dis", "tokenize"]
     env = {key: value for key, value in os.environ.items() if key != "FTQC_PROFILE_DIR"}
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent), json.dumps(argvs), *unused],
+        [sys.executable, "-I", "-S", "-W", "error", "-c", probe, str(PACKAGE.parent), json.dumps(argvs), *unused],
         capture_output=True, text=True, check=True, timeout=120, env=env,
     )
     assert json.loads(done.stdout) == [[0, 0], []]

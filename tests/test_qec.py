@@ -28,7 +28,7 @@ from ftqc_estimator.qec import (
     logical_error_rate,
     logical_qubit_profile,
     required_logical_error_rate,
-    _base_row,
+    _Rows,
     _distance_row,
 )
 
@@ -371,7 +371,7 @@ class TestFormulaRows:
     def test_a_row_plus_the_input_error_binds_the_distillation_variables(self):
         row = _distance_row(SURFACE_CODE, self.all_times(), 3)
         assert set(row) | {"inputErrorRate"} == DISTILLATION_VARIABLES
-        assert set(_base_row(self.all_times())) == set(row) - _DISTANCE_VARIABLES
+        assert set(_Rows(SURFACE_CODE, self.all_times())[None]) == set(row) - _DISTANCE_VARIABLES
 
     @pytest.mark.parametrize("which", ["cycle", "footprint"])
     @pytest.mark.parametrize(
