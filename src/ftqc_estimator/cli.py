@@ -99,8 +99,9 @@ def cmd_estimate(job_path: str, out_path: Optional[str], fmt: str = "structured"
     return EXIT_OK
 
 
-def _set_by_path(data: dict, dotted: str, value: float) -> None:
-    """Set the numeric field at ``dotted``, keys and list indices joined by dots."""
+def _numeric_slot(data: dict, dotted: str) -> tuple:
+    """(container, key, whether its value is an int) of the numeric field at
+    ``dotted``, keys and list indices joined by dots."""
     node = data
     for part in dotted.split("."):
         if isinstance(node, list) and part in map(str, range(len(node))):
@@ -110,8 +111,7 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
         parent, slot, node = node, part, node[part]
     if not isinstance(node, (int, float)) or isinstance(node, bool):
         raise ConfigError(f"field at {_shown(repr(dotted))} is not numeric")
-    # keep integer-valued fields integral so counts stay valid
-    parent[slot] = int(value) if isinstance(node, int) and value == int(value) else value
+    return parent, slot, isinstance(node, int)
 
 
 def cmd_sweep(
@@ -129,14 +129,17 @@ def cmd_sweep(
     template = read_file(path, "job file")
     base_dir = path.parent
 
+    # the job read from the template keeps no reference to it, so each row
+    # overwrites the one swept slot in place
+    container, key, whole = _numeric_slot(template, parameter_name)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for value in values:
-        document = json.loads(json.dumps(template))  # fresh copy per row
-        _set_by_path(document, parameter_name, value)
+        # keep integer-valued fields integral so counts stay valid
+        container[key] = int(value) if whole and value == int(value) else value
         try:
-            report = jobs.run_job(jobs.job_from_mapping(document, base_dir))
+            report = jobs.run_job(jobs.job_from_mapping(template, base_dir))
         except EstimatorError as exc:
             failure = _failure(exc)[1]
             writer.writerow([value, "", "", "", "", "", f"{failure['type']}: {failure['message']}"])

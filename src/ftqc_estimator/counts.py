@@ -41,7 +41,7 @@ from .errors import (
     UseAfterReleaseError,
     _shown,
 )
-from .records import JsonRecord, _unreadable, read_file, read_record, record
+from .records import JsonRecord, _unreadable, read_file, read_record
 
 __all__ = [
     "TraceEvent",
@@ -107,7 +107,6 @@ class TraceEvent(NamedTuple):
         return cls(op, tuple(qubits))
 
 
-@record
 class LogicalCounts(JsonRecord):
     """Pre-layout logical resource counts of a quantum program.
 

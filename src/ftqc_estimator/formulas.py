@@ -47,7 +47,7 @@ from .errors import (
     UnboundVariableError,
     UnknownFunctionError,
 )
-from .records import Record, record
+from .records import Record
 
 __all__ = [
     "FormulaExpr",
@@ -100,21 +100,18 @@ class _Node(Record):
         return to_source(self)
 
 
-@record
 class Number(_Node):
     """A numeric literal."""
 
     value: float
 
 
-@record
 class Variable(_Node):
     """A variable, bound by the environment of an evaluation."""
 
     name: str
 
 
-@record
 class Call(_Node):
     """A call of one of :data:`FUNCTIONS` on one argument."""
 
@@ -122,14 +119,12 @@ class Call(_Node):
     arg: "FormulaExpr"
 
 
-@record
 class Neg(_Node):
     """A leading minus."""
 
     operand: "FormulaExpr"
 
 
-@record
 class BinOp(_Node):
     """A binary operation."""
 

@@ -18,14 +18,13 @@ from .errors import ConfigError
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .pipeline import ErrorBudget, PostLayoutInput
 from .qec import PhysicalQubitParams, QecScheme, get_scheme
-from .records import JsonRecord, read_file, record
+from .records import JsonRecord, read_file
 from .report import EstimateReport
 from .tfactory import DistillationUnit, TFactoryConstraints
 
 __all__ = ["JobSpec", "JobInput", "load_job", "job_from_mapping", "run_job", "run_frontier"]
 
 
-@record
 class JobInput(JsonRecord):
     """Exactly one of a trace file, pre-layout counts, or post-layout aggregates."""
 
@@ -44,7 +43,6 @@ class JobInput(JsonRecord):
             )
 
 
-@record
 class JobSpec(JsonRecord):
     """An estimation job; :func:`job_from_mapping` resolves its names and trace path."""
 

@@ -17,7 +17,7 @@ import math
 
 from .counts import LogicalCounts
 from .errors import ConfigError, InvalidBudgetError
-from .records import JsonRecord, Record, record
+from .records import JsonRecord, Record
 
 __all__ = [
     "RotationSynthesisConstants",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 
-@record
 class RotationSynthesisConstants(JsonRecord):
     """Scaling constants of the per-rotation T-cost model.
 
@@ -46,7 +45,6 @@ class RotationSynthesisConstants(JsonRecord):
 DEFAULT_SYNTHESIS = RotationSynthesisConstants()
 
 
-@record
 class AlgorithmicLogicalEstimate(Record):
     """Post-layout logical requirements of an algorithm."""
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .layout import DEFAULT_SYNTHESIS, RotationSynthesisConstants
 from .qec import PhysicalQubitParams, QecScheme
-from .records import JsonRecord, Record, record
+from .records import JsonRecord, Record
 from .report import (
     ErrorBudget,
     EstimateReport,
@@ -68,7 +68,6 @@ ASSUMPTIONS = (
 )
 
 
-@record
 class PostLayoutInput(JsonRecord):
     """Directly supplied post-layout aggregates.
 
@@ -208,7 +207,7 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     algorithmic_qubits = logical_qubits * profile.physical_qubits_per_logical_qubit
 
     def size(slowdown: float) -> EstimateReport:
-        if slowdown < 1.0:
+        if not slowdown >= 1.0:  # NaN too
             raise ConfigError(f"slowdown must be >= 1, got {slowdown!r}")
         base_runtime = depth * profile.logical_cycle_time * slowdown
         with _stage("t-factory-sizing"):
@@ -242,7 +241,6 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     return size
 
 
-@record
 class FrontierPoint(Record):
     """One point of a frontier: the slowdown factor, the physical qubits and
     runtime at it, and the full report."""
@@ -260,7 +258,6 @@ class FrontierPoint(Record):
         }
 
 
-@record
 class FrontierResult(Record):
     """The Pareto-optimal points of a frontier, and the error met at each
     factor that could not be estimated."""
@@ -286,7 +283,7 @@ def frontier(
     grid = list(slowdown_grid)
     if not grid:
         raise ConfigError("slowdown grid must not be empty")
-    if any(s < 1.0 for s in grid):
+    if any(not s >= 1.0 for s in grid):  # NaN too
         raise ConfigError("slowdown factors must be >= 1")
     if grid != sorted(grid):
         raise ConfigError("slowdown grid must be sorted ascending")

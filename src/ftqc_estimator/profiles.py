@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import ConfigError, _shown
 from .qec import PhysicalQubitParams
-from .records import JsonRecord, read_file, record
+from .records import JsonRecord, read_file
 
 __all__ = [
     "HardwareProfile",
@@ -40,7 +40,6 @@ BUILTIN_PROFILE_NAMES = (
 )
 
 
-@record
 class HardwareProfile(JsonRecord):
     """A named set of physical qubit parameters and the QEC scheme a job on
     it uses by default."""

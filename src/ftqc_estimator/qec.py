@@ -29,7 +29,7 @@ from .errors import (
     _shown,
 )
 from .formulas import FormulaExpr
-from .records import JsonRecord, record
+from .records import JsonRecord
 
 __all__ = [
     "InstructionSet",
@@ -69,7 +69,6 @@ _REQUIRED_TIMES = {
 }
 
 
-@record
 class PhysicalQubitParams(JsonRecord):
     """Operation times (ns) and error rates of the physical qubits.
 
@@ -156,7 +155,6 @@ def effective_physical_error_rate(params: PhysicalQubitParams) -> float:
 _DISTANCE_CAP = 101
 
 
-@record
 class QecScheme(JsonRecord):
     """A quantum error correction scheme.
 
@@ -230,7 +228,6 @@ def get_scheme(name: str) -> QecScheme:
         ) from None
 
 
-@record
 class LogicalQubitProfile(JsonRecord):
     """Per-logical-qubit costs of a scheme at a chosen code distance."""
 

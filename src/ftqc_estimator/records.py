@@ -1,8 +1,8 @@
 """Records, and the job JSON they are read from and written as.
 
-Every record is declared with :func:`record`, which makes its field table
-and ``__init__``, and takes ``==``, ``hash``, ``repr``, frozen setters,
-pickling and ``__replace__`` from :class:`Record`.  :class:`JsonRecord`
+Every record is declared by subclassing :class:`Record`, which makes its
+field table and ``__init__`` and gives it ``==``, ``hash``, ``repr``,
+frozen setters, pickling and ``__replace__``.  :class:`JsonRecord`
 reads and writes every record from its fields, each key the camelCase of
 its field's name, so a record's keys are spelled once, by its fields, and
 :func:`indented_json` writes records and documents as indented JSON.  The
@@ -98,27 +98,51 @@ _NO_DEFAULT = object()  # the default of a field declared without one
 
 
 class Record:
-    """Base of the classes declared with :func:`record`, giving each what
-    ``dataclasses`` would generate for a frozen dataclass besides its
-    ``__init__``: ``==``, equal only to an instance of the same class whose
-    field tuple is equal; the hash of that tuple; ``Name(field=value, ...)``
-    as its ``repr``, in field order; setters that raise
+    """Base of every record: a subclass is declared by its annotations.
+
+    Its fields are those of its record bases, then its own annotations in
+    order, but for names starting with ``_``; a class attribute of the same
+    name is a field's default, and a field named in ``_KW_ONLY`` is passed
+    by keyword only.  Each subclass gets a generated ``__init__`` that sets
+    each field, then calls ``__post_init__`` if the class has one.  As with
+    ``dataclasses``, a positional field without a default after one with a
+    default is a ``TypeError``, and an unhashable default a ``ValueError``.
+
+    The rest is what ``dataclasses`` would generate for a frozen dataclass:
+    ``==``, equal only to an instance of the same class whose field tuple is
+    equal; the hash of that tuple; ``Name(field=value, ...)`` as its
+    ``repr``, in field order; setters that raise
     ``dataclasses.FrozenInstanceError``; and ``__replace__`` for
     ``copy.replace``.  Written once here, they cost nothing per class at
     import.  A pickled or copied record holds its fields alone, not values
     kept beside them.  A record is no dataclass: ``dataclasses.fields`` and
     ``dataclasses.replace`` do not take it."""
 
-    _fields: dict[str, object]  # name: default, or _NO_DEFAULT; set by record()
-    _field_names: tuple[str, ...] = ()  # set by record()
+    _fields: dict[str, object]  # name: default, or _NO_DEFAULT
+    _field_names: tuple[str, ...] = ()
     _KW_ONLY: tuple[str, ...] = ()  # the fields passed to __init__ by keyword only
 
-    @classmethod
-    def _field_table(cls) -> dict[str, object]:
-        try:
-            return vars(cls)["_fields"]
-        except KeyError:
-            raise TypeError(f"{cls.__qualname__} is not declared with records.record") from None
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = {}
+        for base in reversed(cls.__mro__[1:]):
+            fields.update(vars(base).get("_fields", {}))
+        fields.update({
+            name: vars(cls).get(name, _NO_DEFAULT) for name in cls.__annotations__ if not name.startswith("_")
+        })
+        defaulted = None
+        for name, default in fields.items():
+            if default is _NO_DEFAULT:
+                if defaulted and name not in cls._KW_ONLY:
+                    raise TypeError(f"non-default argument {name!r} follows default argument {defaulted!r}")
+            elif default.__class__.__hash__ is None:
+                raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
+            elif name not in cls._KW_ONLY:
+                defaulted = name
+        cls._fields = fields
+        cls._field_names = tuple(fields)
+        cls.__match_args__ = tuple(name for name in fields if name not in cls._KW_ONLY)
+        cls.__init__ = _init(cls)
 
     def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._field_names])
@@ -150,36 +174,6 @@ class Record:
 
     def __replace__(self, /, **changes):
         return self.__class__(**{**self.__getstate__(), **changes})
-
-
-def record(cls: type) -> type:
-    """``cls``, a :class:`Record`, with its fields and ``__init__``.
-
-    Its fields are those of its record bases, then its own annotations in
-    order; a class attribute of the same name is a field's default, and a
-    field named in ``_KW_ONLY`` is passed by keyword only.  The generated
-    ``__init__`` sets each field, then calls ``__post_init__`` if the class
-    has one; :class:`Record` supplies the rest.  As with ``dataclasses``,
-    a positional field without a default after one with a default is a
-    ``TypeError``, and an unhashable default a ``ValueError``."""
-    fields = {}
-    for base in reversed(cls.__mro__[1:]):
-        fields.update(vars(base).get("_fields", {}))
-    fields.update({name: vars(cls).get(name, _NO_DEFAULT) for name in cls.__annotations__})
-    defaulted = None
-    for name, default in fields.items():
-        if default is _NO_DEFAULT:
-            if defaulted and name not in cls._KW_ONLY:
-                raise TypeError(f"non-default argument {name!r} follows default argument {defaulted!r}")
-        elif default.__class__.__hash__ is None:
-            raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
-        elif name not in cls._KW_ONLY:
-            defaulted = name
-    cls._fields = fields
-    cls._field_names = tuple(fields)
-    cls.__match_args__ = tuple(name for name in fields if name not in cls._KW_ONLY)
-    cls.__init__ = _init(cls)
-    return cls
 
 
 def _init(cls: type):
@@ -227,14 +221,14 @@ class JsonRecord(Record):
     @functools.cache
     def _json_fields(cls) -> tuple[tuple[str, str], ...]:
         """(attribute, key) per field, in field order."""
-        return tuple((name, cls._RENAMED.get(name) or _camel(name)) for name in cls._field_table())
+        return tuple((name, cls._RENAMED.get(name) or _camel(name)) for name in cls._fields)
 
     @classmethod
     @functools.cache
     def _json_readers(cls) -> tuple[tuple, frozenset, frozenset]:
         """(attribute, key, reader) per field, then all keys and the keys
         of the fields without a default, which are required."""
-        hints, fields = cls._hints(), cls._field_table()
+        hints, fields = cls._hints(), cls._fields
         readers = tuple((attr, key, _reader(hints[attr])) for attr, key in cls._json_fields())
         required = frozenset(key for attr, key in cls._json_fields() if fields[attr] is _NO_DEFAULT)
         return readers, frozenset(key for _, key, _ in readers), required
@@ -277,7 +271,7 @@ class JsonRecord(Record):
         parsed, in field order, before the record checks its values."""
         from . import formulas  # formulas imports this module
 
-        fields, positional = cls._field_table(), cls.__match_args__
+        fields, positional = cls._fields, cls.__match_args__
         if len(args) > len(positional):
             raise TypeError(f"{cls.__name__}() takes {len(positional)} positional arguments "
                             f"but {len(args)} were given")

@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .counts import LogicalCounts
 from .errors import ConfigError, InvalidPartitionError
 from .qec import LogicalQubitProfile, PhysicalQubitParams
-from .records import JsonRecord, indented_json, read_number, record
+from .records import JsonRecord, indented_json, read_number
 from .tfactory import TFactoryPlan
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 
-@record
 class ErrorBudget(JsonRecord):
     """Total failure-rate budget, optionally with explicit shares.
 
@@ -63,7 +62,6 @@ class ErrorBudget(JsonRecord):
         return cls(total=read_number(value, "errorBudget"))
 
 
-@record
 class PhysicalResourceEstimates(JsonRecord):
     """Headline outputs: runtime (ns), rQOPS, and physical qubits."""
 
@@ -72,7 +70,6 @@ class PhysicalResourceEstimates(JsonRecord):
     physical_qubits: int
 
 
-@record
 class ResourceEstimatesBreakdown(JsonRecord):
     """The logical and physical quantities a report's headline is made of."""
 
@@ -87,7 +84,6 @@ class ResourceEstimatesBreakdown(JsonRecord):
     slowdown_applied: float
 
 
-@record
 class EstimateReport(JsonRecord):
     """Full estimation result.
 

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .formulas import FormulaExpr
 from .qec import _DISTANCE_VARIABLES, PhysicalQubitParams, QecScheme, _Rows
-from .records import JsonRecord, record
+from .records import JsonRecord
 
 __all__ = [
     "Applicability",
@@ -69,7 +69,6 @@ class Applicability(str, Enum):
     BOTH = "both"
 
 
-@record
 class DistillationUnit(JsonRecord):
     """One distillation stage, e.g. a 15-to-1 round.
 
@@ -122,7 +121,6 @@ DEFAULT_15_TO_1 = DistillationUnit.from_strings(
 )
 
 
-@record
 class FactoryRound(JsonRecord):
     """A round of a chain: its unit, by name, at a code distance and width."""
 
@@ -131,7 +129,6 @@ class FactoryRound(JsonRecord):
     num_parallel_units: int
 
 
-@record
 class TFactoryPlan(JsonRecord):
     """A distillation chain plus the fleet that executes it.
 
@@ -164,7 +161,6 @@ EMPTY_PLAN = TFactoryPlan(
 )
 
 
-@record
 class TFactoryConstraints(JsonRecord):
     """User limits on the factory fleet.
 

@@ -839,8 +839,9 @@ class TestSweepCommand:
         assert "ConfigError" in rows[1]
 
     def test_deeply_nested_template_gives_error_rows(self, tmp_path, capsys):
-        # each row copies the template by a JSON round trip, which handles
-        # nesting well beyond what copy.deepcopy does within the recursion limit
+        # each row overwrites the swept slot of the one template it read, so
+        # nesting well beyond what copy.deepcopy handles within the recursion
+        # limit is never copied
         job = write_job(tmp_path, rotationSynthesis="@")
         job.write_text(job.read_text().replace('"@"', "[" * 900 + "]" * 900))
         code, out, err = run(
@@ -891,20 +892,38 @@ class TestSweepCommand:
         assert len(rows) == 2
         for value, row in zip(values, rows):
             alone = write_job(tmp_path, "alone.json", distillationUnits=[{**UNIT_15_TO_1, field: value}])
-            code, out, err = run(capsys, "estimate", "--job", str(alone))
-            assert code == 0, err
-            report = json.loads(out)
-            physical = report["physicalResourceEstimates"]
-            expected = [
-                float(value),
-                physical["physicalQubits"],
-                physical["runtime"],
-                report["logicalQubitParameters"]["codeDistance"],
-                physical["rqops"],
-                report["resourceEstimatesBreakdown"]["numTFactoryCopies"],
-                "",
-            ]
-            assert row == ",".join(map(str, expected))
+            assert row == self.row_alone(capsys, alone, value)
+
+    @staticmethod
+    def row_alone(capsys, job, value) -> str:
+        """The sweep row for ``value`` of the report ``estimate`` writes for ``job``."""
+        code, out, err = run(capsys, "estimate", "--job", str(job))
+        assert code == 0, err
+        report = json.loads(out)
+        physical = report["physicalResourceEstimates"]
+        expected = [
+            float(value),
+            physical["physicalQubits"],
+            physical["runtime"],
+            report["logicalQubitParameters"]["codeDistance"],
+            physical["rqops"],
+            report["resourceEstimatesBreakdown"]["numTFactoryCopies"],
+            "",
+        ]
+        return ",".join(map(str, expected))
+
+    def test_an_integer_field_stays_integral_after_a_fractional_row(self, tmp_path, capsys):
+        # whether a value is written as an int is decided by the template's
+        # value, not by the value an earlier row left in the slot
+        job = write_job(tmp_path)
+        param = "input.logicalCounts.tCount"
+        code, out, err = run(capsys, "sweep", "--job", str(job), "--param", param, "--values", "1.5,2")
+        assert code == 0, err
+        first, second = out.strip().splitlines()[1:]
+        assert first.startswith("1.5,") and "InvalidCountsError" in first
+        counts = {"numQubits": 4, "tCount": 2, "measurementCount": 10}
+        alone = write_job(tmp_path, "alone.json", input={"logicalCounts": counts})
+        assert second == self.row_alone(capsys, alone, 2)
 
     @pytest.mark.parametrize("index", ["1", "-1", "01", "x", "", "9" * 5000])
     def test_a_bad_list_index_is_no_field(self, tmp_path, capsys, index):

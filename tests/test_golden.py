@@ -10,6 +10,7 @@ To re-record after an intended output change, run
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ftqc_estimator import cli, formulas
+from ftqc_estimator import cli, formulas, jobs
 from ftqc_estimator.errors import ConfigError
 from ftqc_estimator.jobs import job_from_mapping, run_job
 from ftqc_estimator.pipeline import ErrorBudget
@@ -105,6 +106,26 @@ def test_every_case_repeats_its_bytes_with_warm_formula_caches(monkeypatch):
         for name in sorted(CASES):
             assert run_case(name) == expected[name], name
     assert formulas._parsed.cache_info().currsize and formulas._maker.cache_info().currsize
+
+
+def test_an_estimate_run_again_after_another_case_repeats_its_bytes(monkeypatch):
+    # each job is read once and its records run twice, another case between:
+    # values kept on records and trees (qec._times, a tree's _run and
+    # _variables) and the functools caches carry over from job to job
+    monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
+    monkeypatch.setattr(jobs, "load_job", functools.cache(jobs.load_job))
+    formulas._parsed.cache_clear()
+    formulas._maker.cache_clear()
+    names = [
+        name for name, extra in sorted(CASES.items())
+        if not name.startswith("profiles") and "--slowdown-grid" not in extra and "--param" not in extra
+    ]
+    expected = {
+        name: json.loads((GOLDEN / "expected" / f"{name}.json").read_text()) for name in names
+    }
+    for name, other in zip(names, names[1:] + names[:1]):
+        for run in (name, other, name):
+            assert run_case(run) == expected[run], (name, run)
 
 
 def test_a_sweep_over_inline_units_writes_the_rows_of_separate_runs(tmp_path):

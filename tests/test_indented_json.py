@@ -6,7 +6,6 @@ listings.  Each must match ``json.dumps`` of the value's mapping with
 that a non-finite float raises.
 """
 
-import dataclasses
 import json
 import re
 
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftqc_estimator import cli, jobs
-from ftqc_estimator.records import JsonRecord, indented_json, record
+from ftqc_estimator.records import JsonRecord, indented_json
 from ftqc_estimator.formulas import parse_formula
 from ftqc_estimator.pipeline import FrontierResult
 from ftqc_estimator.profiles import list_profiles
@@ -58,7 +57,6 @@ def test_profile_listing_matches_json_dumps(monkeypatch):
     assert indented_json(listed) == oracle([p.as_mapping() for p in listed])
 
 
-@record
 class Node(JsonRecord):
     """A record holding any value, to nest generated values in records."""
 
@@ -66,7 +64,6 @@ class Node(JsonRecord):
     second: object = None
 
 
-@record
 class Empty(JsonRecord):
     pass
 
@@ -113,17 +110,6 @@ def test_booleans_are_json_literals():
     assert indented_json(Node(True, [False])) == (
         '{\n  "firstValue": true,\n  "second": [\n    false\n  ]\n}'
     )
-
-
-def test_a_json_record_not_declared_with_record_raises():
-    @dataclasses.dataclass(frozen=True)
-    class Plain(JsonRecord):
-        """A JSON record whose fields ``record`` never saw."""
-
-        value: int
-
-    with pytest.raises(TypeError, match=r"Plain is not declared with records\.record"):
-        indented_json(Plain(1))
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

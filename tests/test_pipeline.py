@@ -387,6 +387,20 @@ class TestReportInvariants:
         with pytest.raises(ConfigError, match="slowdown must be >= 1"):
             anchor_report(slowdown=0.5)
 
+    def test_nan_slowdown_rejected(self):
+        # NaN passes a `slowdown < 1.0` test; it must not reach fleet sizing
+        nan = float("nan")
+        with pytest.raises(ConfigError, match="slowdown must be >= 1"):
+            anchor_report(slowdown=nan)
+        job = load_job(GOLDEN / "gate_ns_e3_counts.json")
+        with pytest.raises(ConfigError, match="slowdown must be >= 1"):
+            run_job(job, nan)
+        settings = dict(qubit_params=gate_params(), qec_scheme=SURFACE_CODE, error_budget=1e-3)
+        counts = LogicalCounts(num_qubits=50, t_count=200_000, measurement_count=100)
+        for grid in ([nan], [1.0, nan], [nan, 2.0]):
+            with pytest.raises(ConfigError, match="slowdown factors must be >= 1"):
+                frontier(counts, slowdown_grid=grid, **settings)
+
 
 class TestFrontier:
     def t_heavy(self, **kwargs):

@@ -31,8 +31,9 @@ def star_names(module):
 
 
 def package_records():
-    """Every record the package's modules declare with ``record``: a
-    :class:`Record` with a field table of its own, in module order."""
+    """Every record the package's modules declare: a :class:`Record`
+    subclass with at least one field, in module order.  Bases with no
+    field (``JsonRecord``, the formula-node base) are left out."""
     return [
         value
         for module in MODULES.values()
@@ -40,7 +41,7 @@ def package_records():
         if isinstance(value, type)
         and value.__module__ == module.__name__
         and issubclass(value, Record)
-        and "_fields" in vars(value)
+        and value._field_names
     ]
 
 
@@ -106,6 +107,21 @@ def test_no_module_reads_generator_or_frame_internals(name):
 @pytest.mark.parametrize("cls", package_records(), ids=lambda cls: cls.__name__)
 def test_record_defines_no_eq_hash_or_repr(cls):
     assert [name for name in ("__eq__", "__hash__", "__repr__") if name in vars(cls)] == []
+
+
+def test_a_record_is_declared_by_subclassing_alone():
+    # no decorator named record anywhere, and records binds no record
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    decorated = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and "record" in {name for decorator in node.decorator_list for name in names_read(decorator)}
+    ]
+    assert decorated == []
+    assert not hasattr(MODULES["records"], "record")
+    assert [cls.__name__ for cls in package_records() if "__init__" not in vars(cls)] == []
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

@@ -14,7 +14,8 @@ compared with itself, and :class:`Record` compares tuples.
 Pickling and copying a record keep its fields alone, and an error keeps
 its type, message and attributes.  ``__replace__`` copies a record or
 changes one field, the setters raise ``dataclasses.FrozenInstanceError``,
-and ``record`` rejects the declarations ``dataclasses`` rejects.
+and a record's class statement rejects the declarations ``dataclasses``
+rejects.
 
 Hypothesis does not shrink a failing example here: shrinking nested
 records (reports inside a frontier result) took minutes per failing
@@ -46,7 +47,7 @@ TWINS = {
     for cls in RECORDS
 }
 # a record subclass of each, with the same fields
-HEIRS = {cls: records.record(type(cls.__name__, (cls,), {"__doc__": "An heir."})) for cls in RECORDS}
+HEIRS = {cls: type(cls.__name__, (cls,), {"__doc__": "An heir."}) for cls in RECORDS}
 
 
 def bare(cls, values: dict):
@@ -246,7 +247,7 @@ def unchecked(cls) -> type:
     """A heir of ``cls`` whose ``__post_init__`` checks no value, so that
     any field can be set to any object."""
     namespace = {"__doc__": "An unchecked heir.", "__post_init__": lambda self: None}
-    return records.record(type(cls.__name__, (cls,), namespace))
+    return type(cls.__name__, (cls,), namespace)
 
 
 @pytest.mark.parametrize("heir", [False, True], ids=["record", "heir"])
@@ -288,24 +289,27 @@ def test_a_profiles_description_is_keyword_only_and_empty_by_default():
         HardwareProfile(profile.name, "text", profile.qubit_params, profile.default_scheme_name)
 
 
-DECORATORS = [records.record, dataclasses.dataclass(frozen=True)]
+def declare_record(name: str, namespace: dict) -> type:
+    return type(name, (records.Record,), namespace)
 
 
-@pytest.mark.parametrize("decorate", DECORATORS, ids=["record", "dataclass"])
-def test_a_field_without_a_default_after_one_with_a_default_is_a_type_error(decorate):
-    class Late(records.Record):
-        """A required field after a defaulted one."""
+def declare_dataclass(name: str, namespace: dict) -> type:
+    # the oracle: a frozen dataclass that is no Record
+    return dataclasses.dataclass(frozen=True)(type(name, (), namespace))
 
-        first: int = 1
-        second: int
 
+DECLARATIONS = [declare_record, declare_dataclass]
+
+
+@pytest.mark.parametrize("declare", DECLARATIONS, ids=["record", "dataclass"])
+def test_a_field_without_a_default_after_one_with_a_default_is_a_type_error(declare):
+    namespace = {"__annotations__": {"first": "int", "second": "int"}, "first": 1}
     with pytest.raises(TypeError, match="'second'"):
-        decorate(Late)
+        declare("Late", namespace)
 
 
 @pytest.mark.parametrize("default", [[], {}, set()], ids=type)
-@pytest.mark.parametrize("decorate", DECORATORS, ids=["record", "dataclass"])
-def test_a_mutable_default_is_a_value_error(decorate, default):
-    declared = type("Mutable", (records.Record,), {"__annotations__": {"value": "object"}, "value": default})
+@pytest.mark.parametrize("declare", DECLARATIONS, ids=["record", "dataclass"])
+def test_a_mutable_default_is_a_value_error(declare, default):
     with pytest.raises(ValueError, match="mutable default"):
-        decorate(declared)
+        declare("Mutable", {"__annotations__": {"value": "object"}, "value": default})
