@@ -207,8 +207,8 @@ def _plan(counts, qubit_params, qec_scheme, error_budget, distillation_units=Non
     algorithmic_qubits = logical_qubits * profile.physical_qubits_per_logical_qubit
 
     def size(slowdown: float) -> EstimateReport:
-        if not slowdown >= 1.0:  # NaN too
-            raise ConfigError(f"slowdown must be >= 1, got {slowdown!r}")
+        if not 1.0 <= slowdown < math.inf:  # NaN too
+            raise ConfigError(f"slowdown must be >= 1 and finite, got {slowdown!r}")
         base_runtime = depth * profile.logical_cycle_time * slowdown
         with _stage("t-factory-sizing"):
             fleet, extra_slowdown = tfactory.size_fleet(plan, total_t, base_runtime, constraints)
@@ -283,8 +283,8 @@ def frontier(
     grid = list(slowdown_grid)
     if not grid:
         raise ConfigError("slowdown grid must not be empty")
-    if any(not s >= 1.0 for s in grid):  # NaN too
-        raise ConfigError("slowdown factors must be >= 1")
+    if any(not 1.0 <= s < math.inf for s in grid):  # NaN too
+        raise ConfigError("slowdown factors must be >= 1 and finite")
     if grid != sorted(grid):
         raise ConfigError("slowdown grid must be sorted ascending")
 

@@ -651,6 +651,18 @@ READER_TRACE = [
 ]
 
 
+def reader_of(kind, path, lines=READER_TRACE):
+    """A reader of ``lines``: ``read_trace`` of ``path``, written with them,
+    or ``parse_trace_lines`` of them."""
+    if kind == "parse_trace_lines":
+        return parse_trace_lines(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    return read_trace(path)
+
+
+READERS = ["read_trace", "parse_trace_lines"]
+
+
 class TestReaderStates:
     @pytest.fixture
     def path(self, tmp_path):
@@ -658,40 +670,46 @@ class TestReaderStates:
         path.write_text("\n".join(READER_TRACE) + "\n")
         return path
 
-    def test_a_started_reader_counts_the_remaining_events(self, path):
-        reader = read_trace(path)
+    @pytest.mark.parametrize("kind", READERS)
+    def test_a_started_reader_counts_the_remaining_events(self, path, kind):
+        reader = reader_of(kind, path)
         assert next(reader) == ev("alloc", 9)
         rest = count_trace(reader)
-        assert rest == count_trace(list(read_trace(path))[1:])
-        assert rest.num_qubits == 3 and count_trace(read_trace(path)).num_qubits == 4
+        assert rest == count_trace(list(reader_of(kind, path))[1:])
+        assert rest.num_qubits == 3 and count_trace(reader_of(kind, path)).num_qubits == 4
         assert list(reader) == []
 
-    def test_a_counted_reader_reads_as_empty(self, path):
-        reader = read_trace(path)
+    @pytest.mark.parametrize("kind", READERS)
+    def test_a_counted_reader_reads_as_empty(self, path, kind):
+        reader = reader_of(kind, path)
         assert count_trace(reader) == LogicalCounts(
             num_qubits=4, t_count=1, rotation_count=1, rotation_depth=1, ccz_count=1
         )
         assert list(reader) == []
         assert count_trace(reader) == LogicalCounts()
 
-    def test_a_reader_whose_count_failed_reads_as_empty(self, path):
-        path.write_text('{"op":"t","q":[0]}\n')
-        reader = read_trace(path)
+    @pytest.mark.parametrize("kind", READERS)
+    def test_a_reader_whose_count_failed_reads_as_empty(self, path, kind):
+        reader = reader_of(kind, path, ['{"op":"t","q":[0]}'])
         with pytest.raises(UseAfterReleaseError):
             count_trace(reader)
         assert list(reader) == []
 
     @pytest.mark.parametrize(
-        "data, error",
-        [('{"op": bad}\n{"op":"alloc","q":[0]}\n', TraceFormatError), (None, ConfigError)],
-        ids=["bad json on line 1", "missing file"],
+        "kind, lines, error",
+        [
+            ("read_trace", ['{"op": bad}', '{"op":"alloc","q":[0]}'], TraceFormatError),
+            ("parse_trace_lines", ['{"op": bad}', '{"op":"alloc","q":[0]}'], TraceFormatError),
+            ("read_trace", None, ConfigError),
+        ],
+        ids=["bad json on line 1", "bad json on line 1 of lines", "missing file"],
     )
-    def test_a_reader_whose_first_step_failed_reads_as_empty(self, path, data, error):
-        if data is None:
+    def test_a_reader_whose_first_step_failed_reads_as_empty(self, path, kind, lines, error):
+        if lines is None:
             path.unlink()
+            reader = read_trace(path)
         else:
-            path.write_text(data)
-        reader = read_trace(path)
+            reader = reader_of(kind, path, lines)
         with pytest.raises(error):
             next(reader)
         assert list(reader) == []
@@ -766,16 +784,28 @@ def test_plain_pairs_count_as_events():
         count_trace([("alloc", (0, 1)), ("t", (0, 1))])
 
 
-def test_a_reader_is_counted_without_building_events(tmp_path, monkeypatch):
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join(READER_TRACE) + "\n")
-    expected = count_trace(list(read_trace(path)))
-
+@pytest.mark.parametrize(
+    "kind, started",
+    [("read_trace", False), ("read_trace", True), ("parse_trace_lines", False)],
+    ids=["fresh reader", "started reader", "parse_trace_lines"],
+)
+def test_a_reader_is_counted_without_building_events(tmp_path, kind, started):
     def refuse(*args):
         raise AssertionError("an event was built")
 
-    monkeypatch.setattr(counts, "TraceEvent", refuse)
-    assert count_trace(read_trace(path)) == expected
+    path = tmp_path / "trace.jsonl"
+    # the trace, and the trace with a count error after its last line
+    for lines, result in ((READER_TRACE, "value"), (READER_TRACE + ['{"op": "t", "q": [0]}'], "error")):
+        events = list(reader_of("read_trace", path, lines))
+        reader = reader_of(kind, path, lines)
+        if started:
+            assert next(reader) == events.pop(0)
+        expected = outcome(lambda: count_trace(events))
+        assert expected[0] == result
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counts, "TraceEvent", refuse)
+            assert outcome(lambda: count_trace(reader)) == expected
+            assert list(reader) == []
 
 
 # ---------------------------------------------------------------------------

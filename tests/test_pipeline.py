@@ -18,7 +18,7 @@ from ftqc_estimator.errors import (
     InvalidPartitionError,
     NoFeasiblePipelineError,
 )
-from ftqc_estimator.jobs import load_job, run_job
+from ftqc_estimator.jobs import load_job, run_frontier, run_job
 from ftqc_estimator.layout import DEFAULT_SYNTHESIS
 from ftqc_estimator.pipeline import (
     ErrorBudget,
@@ -400,6 +400,18 @@ class TestReportInvariants:
         for grid in ([nan], [1.0, nan], [nan, 2.0]):
             with pytest.raises(ConfigError, match="slowdown factors must be >= 1"):
                 frontier(counts, slowdown_grid=grid, **settings)
+
+    def test_inf_slowdown_rejected(self):
+        # inf passes a `slowdown >= 1.0` test; it must not reach fleet sizing
+        inf = float("inf")
+        with pytest.raises(ConfigError, match="slowdown must be >= 1 and finite, got inf"):
+            anchor_report(slowdown=inf)
+        job = load_job(GOLDEN / "gate_ns_e3_counts.json")
+        with pytest.raises(ConfigError, match="slowdown must be >= 1 and finite, got inf"):
+            run_job(job, inf)
+        for grid in ([inf], [1.0, inf], [1.0, 2.0, inf]):
+            with pytest.raises(ConfigError, match="slowdown factors must be >= 1 and finite"):
+                run_frontier(job, grid)
 
 
 class TestFrontier:

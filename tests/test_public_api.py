@@ -178,6 +178,26 @@ def test_only_qec_builds_formula_rows_and_applies_the_distance_1_rule():
     assert callers == {"qec"}
 
 
+def test_only_the_reader_and_from_mapping_build_trace_events():
+    # a reader is counted from its decoded lines: an event is built only when
+    # one is taken from a reader, or read from a record by json.loads
+    builders = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
+                child.func.id == "TraceEvent" or child.func.id == "cls" and scope[:1] == ("TraceEvent",)
+            ):
+                builders.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / "counts.py").read_text()), ())
+    assert builders == {"_TraceReader.__next__", "TraceEvent.from_mapping"}
+
+
 def test_running_jobs_from_the_cli_leaves_csv_for_sweep_and_dataclasses_unloaded(tmp_path):
     # -S too: a site hook may import importlib.resources itself; built-in
     # profiles are read beside the package's files, without it.  Records
