@@ -396,7 +396,8 @@ _OPERATOR_STATEMENTS = {
     "*": "%(v)s = %(x)s * %(y)s",
     "/": "if %(y)s == 0.0: raise DivisionByZeroError(f'{%(x)s:g} / 0')\n"
     "%(v)s = %(x)s / %(y)s",
-    "^": "if %(x)s < 0.0 and %(y)s != floor(%(y)s): raise FormulaDomainError("
+    "^": "if %(x)s < 0.0 and not (isfinite(%(y)s) and %(y)s == floor(%(y)s)):"
+    " raise FormulaDomainError("
     "f'negative base {%(x)s:g} with non-integer exponent {%(y)s:g}')\n"
     "if %(x)s == 0.0 and %(y)s < 0.0:"
     " raise DivisionByZeroError('zero raised to a negative power')\n"

@@ -4,7 +4,8 @@ A job is a JSON document that names exactly one algorithm input (a trace
 file, pre-layout logical counts, or post-layout aggregates), the qubit
 parameters (a profile name or a full record), the QEC scheme, the error
 budget, and optional distillation units, factory constraints, and
-rotation-synthesis constants.
+rotation-synthesis constants.  A :class:`JobSpec`, read or made in code,
+holds what its names name, so every job runs as made.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ class JobInput(JsonRecord):
 
 
 class JobSpec(JsonRecord):
-    """An estimation job; :func:`job_from_mapping` resolves its names and trace path."""
+    """An estimation job, holding what it runs: when it is made, a profile
+    name becomes that profile's params (and, with no scheme, its default
+    scheme), a scheme name the scheme, and a total an :class:`ErrorBudget`;
+    ``__replace__`` resolves a new name against the scheme the job holds."""
 
     input: JobInput
     qubit_params: Union[str, PhysicalQubitParams]  # a profile name, or the params
@@ -56,32 +60,30 @@ class JobSpec(JsonRecord):
 
     _BARE_KEYS = True
 
+    def __post_init__(self):
+        params, scheme = self.qubit_params, self.qec_scheme
+        if isinstance(params, str):  # a named profile supplies the params and the default scheme
+            profile = profiles.load_profile(params)
+            params = profile.qubit_params
+            scheme = profile.default_scheme_name if scheme is None else scheme
+        if scheme is None:
+            raise ConfigError("qecScheme is required when qubitParams is not a named profile")
+        object.__setattr__(self, "qubit_params", params)
+        object.__setattr__(self, "qec_scheme", get_scheme(scheme) if isinstance(scheme, str) else scheme)
+        object.__setattr__(self, "error_budget", ErrorBudget.from_value(self.error_budget))
+
 
 def job_from_mapping(data: dict, base_dir: Union[str, Path] = ".") -> JobSpec:
-    """Validate a decoded job document; relative paths resolve against ``base_dir``.
+    """The job a decoded job document describes, its names resolved; a
+    relative trace path resolves against ``base_dir``.
 
     ``null`` on an optional key means the key is absent, as in every record.
     """
     job = JobSpec.from_mapping(data, "job")
-    params, scheme = job.qubit_params, job.qec_scheme
-    if isinstance(params, str):  # a named profile supplies the params and the default scheme
-        profile = profiles.load_profile(params)
-        params = profile.qubit_params
-        scheme = profile.default_scheme_name if scheme is None else scheme
-    if scheme is None:
-        raise ConfigError("qecScheme is required when qubitParams is not a named profile")
-    job_input = job.input
-    if job_input.trace_path is not None:  # then the only input
-        job_input = JobInput(trace_path=str(Path(base_dir) / job_input.trace_path))
-    return JobSpec(
-        input=job_input,
-        qubit_params=params,
-        qec_scheme=get_scheme(scheme) if isinstance(scheme, str) else scheme,
-        error_budget=ErrorBudget.from_value(job.error_budget),
-        distillation_units=job.distillation_units,
-        t_factory_constraints=job.t_factory_constraints,
-        rotation_synthesis=job.rotation_synthesis,
-    )
+    path = job.input.trace_path
+    if path is not None:  # then the only input
+        job = job.__replace__(input=JobInput(trace_path=str(Path(base_dir) / path)))
+    return job
 
 
 def load_job(path: Union[str, Path]) -> JobSpec:

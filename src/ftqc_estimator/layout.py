@@ -14,6 +14,7 @@ domain raises :class:`ConfigError`, a synthesis budget outside (0, 1)
 from __future__ import annotations
 
 import math
+import sys
 
 from .counts import LogicalCounts
 from .errors import ConfigError, InvalidBudgetError
@@ -81,6 +82,8 @@ def t_states_per_rotation(rotation_count: int, synthesis_budget: float, constant
     """
     if rotation_count < 1:
         raise ConfigError(f"rotationCount must be >= 1, got {rotation_count}")
+    if rotation_count > sys.float_info.max:
+        raise ConfigError("rotationCount must stay within float range")
     if not 0.0 < synthesis_budget < 1.0:
         raise InvalidBudgetError(
             f"synthesis budget must be in (0, 1), got {synthesis_budget!r}"

@@ -431,7 +431,7 @@ def tree_walk_eval(expr, env):
                 raise DivisionByZeroError(f"{left:g} / 0")
             return left / right
         if expr.op == "^":
-            if left < 0.0 and right != math.floor(right):
+            if left < 0.0 and not (math.isfinite(right) and right == math.floor(right)):
                 raise FormulaDomainError(
                     f"negative base {left:g} with non-integer exponent {right:g}"
                 )
@@ -528,6 +528,16 @@ def test_compiled_matches_tree_walk_on_hand_built_trees(tree):
     run = formulas._compile(tree)
     assert run.__code__.co_filename == "<formula>"
     assert outcome(lambda expr, env: run(env), tree, _ENV) == outcome(tree_walk_eval, tree, _ENV)
+
+
+@pytest.mark.parametrize(
+    "source, exponent", [("(0 - 2) ^ (x * x)", "inf"), ("(0 - 2) ^ (x * x - x * x)", "nan")]
+)
+def test_a_negative_base_to_a_non_finite_power_is_a_domain_error(source, exponent):
+    # x * x overflows to inf, and inf - inf is nan: neither is an integer
+    assert assert_same_outcome(parse(source), {"x": 1e200}) is FormulaDomainError
+    with pytest.raises(FormulaDomainError, match=f"^negative base -2 with non-integer exponent {exponent}$"):
+        formulas.evaluate(parse(source), {"x": 1e200})
 
 
 def with_new_constants(node, rng: random.Random):

@@ -21,10 +21,12 @@ from pathlib import Path
 import pytest
 
 from ftqc_estimator import cli, formulas, jobs
-from ftqc_estimator.errors import ConfigError
-from ftqc_estimator.jobs import job_from_mapping, run_job
+from ftqc_estimator.counts import LogicalCounts
+from ftqc_estimator.errors import ConfigError, EstimatorError
+from ftqc_estimator.jobs import JobInput, JobSpec, job_from_mapping, run_frontier, run_job
 from ftqc_estimator.pipeline import ErrorBudget
-from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE
+from ftqc_estimator.profiles import load_profile
+from ftqc_estimator.qec import FLOQUET_CODE, SURFACE_CODE, PhysicalQubitParams, QecScheme
 from ftqc_estimator.report import EstimateReport
 from ftqc_estimator.tfactory import DEFAULT_15_TO_1
 
@@ -197,6 +199,69 @@ def test_report_reads_back_as_an_equal_report(name):
 
 def load_golden(name):
     return job_from_mapping(json.loads((GOLDEN / f"{name}.json").read_text()), GOLDEN)
+
+
+# the golden jobs whose input is no trace file, the one path that
+# job_from_mapping resolves against a directory
+UNTRACED = [
+    path.stem for path in sorted(GOLDEN.glob("*.json"))
+    if "tracePath" not in json.loads(path.read_text())["input"]
+]
+
+
+def made(make):
+    """What ``make()`` returns, or the type and message of the error it raises."""
+    try:
+        return make()
+    except EstimatorError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", UNTRACED)
+def test_a_job_read_as_a_record_is_the_job_read_from_its_document(name, monkeypatch):
+    monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
+    document = json.loads((GOLDEN / f"{name}.json").read_text())
+    job = made(lambda: JobSpec.from_mapping(document, "job"))
+    assert job == made(lambda: job_from_mapping(document, GOLDEN))
+    if isinstance(job, JobSpec):  # it holds what the names name
+        assert type(job.qubit_params) is PhysicalQubitParams
+        assert type(job.qec_scheme) is QecScheme
+        assert type(job.error_budget) is ErrorBudget
+
+
+def test_a_job_made_in_code_from_names_runs_to_the_golden_bytes(monkeypatch):
+    monkeypatch.delenv("FTQC_PROFILE_DIR", raising=False)
+    counts = LogicalCounts(
+        num_qubits=40,
+        t_count=12000,
+        rotation_count=300,
+        rotation_depth=40,
+        ccz_count=500,
+        measurement_count=800,
+    )
+    job = JobSpec(
+        input=JobInput(logical_counts=counts),
+        qubit_params="qubit_gate_ns_e3",
+        error_budget=0.001,
+        qec_scheme="surface_code",
+    )
+    expected = json.loads((GOLDEN / "expected" / "gate_ns_e3_counts.json").read_text())
+    assert run_job(job).to_json() + "\n" == expected["stdout"]
+    assert run_frontier(job, [1, 2]) == run_frontier(load_golden("gate_ns_e3_counts"), [1, 2])
+    # the profile's default scheme, and a name given to __replace__
+    assert JobSpec(JobInput(logical_counts=counts), "qubit_gate_ns_e3", 0.001) == job
+    replaced = job.__replace__(qubit_params="qubit_gate_us_e3")
+    assert replaced.qubit_params == load_profile("qubit_gate_us_e3").qubit_params
+
+
+def test_a_job_with_params_and_no_scheme_is_refused_when_made():
+    params = load_profile("qubit_gate_ns_e3").qubit_params
+    with pytest.raises(ConfigError, match="^qecScheme is required when qubitParams is not a named profile$"):
+        JobSpec(
+            input=JobInput(logical_counts=LogicalCounts(num_qubits=1, t_count=1)),
+            qubit_params=params,
+            error_budget=1e-3,
+        )
 
 
 @pytest.mark.parametrize(

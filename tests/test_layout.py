@@ -72,6 +72,13 @@ class TestTStatesPerRotation:
         with pytest.raises(ValueError):
             t_states_per_rotation(0, 0.1)
 
+    def test_rotations_beyond_float_range_rejected(self):
+        # an integer no float holds, as a 400-digit JSON rotationCount reads
+        with pytest.raises(ConfigError, match="^rotationCount must stay within float range$"):
+            t_states_per_rotation(10**400, 0.1)
+        with pytest.raises(ConfigError, match="float range"):
+            estimate_algorithmic(make_counts(rot=10**400), 1e-3)
+
 
 def make_counts(meas=0, rot=0, t=0, ccz=0, ccix=0, depth=None, width=3):
     if depth is None:

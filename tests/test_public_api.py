@@ -178,24 +178,43 @@ def test_only_qec_builds_formula_rows_and_applies_the_distance_1_rule():
     assert callers == {"qec"}
 
 
-def test_only_the_reader_and_from_mapping_build_trace_events():
-    # a reader is counted from its decoded lines: an event is built only when
-    # one is taken from a reader, or read from a record by json.loads
-    builders = set()
-
+def scoped_calls(module: str) -> list:
+    """(the dotted names of the classes and functions around it, the call)
+    for each call in ``module``."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, scope + (child.name,))
+                yield from visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
-                child.func.id == "TraceEvent" or child.func.id == "cls" and scope[:1] == ("TraceEvent",)
-            ):
-                builders.add(".".join(scope))
-            visit(child, scope)
+            if isinstance(child, ast.Call):
+                yield ".".join(scope), child
+            yield from visit(child, scope)
 
-    visit(ast.parse((PACKAGE / "counts.py").read_text()), ())
+    return list(visit(ast.parse((PACKAGE / f"{module}.py").read_text()), ()))
+
+
+def test_only_the_reader_and_from_mapping_build_trace_events():
+    # a reader is counted from its decoded lines: an event is built only when
+    # one is taken from a reader, or read from a record by json.loads
+    builders = {
+        scope
+        for scope, call in scoped_calls("counts")
+        if isinstance(call.func, ast.Name) and (
+            call.func.id == "TraceEvent" or call.func.id == "cls" and scope.partition(".")[0] == "TraceEvent"
+        )
+    }
     assert builders == {"_TraceReader.__next__", "TraceEvent.from_mapping"}
+
+
+def test_a_job_resolves_its_names_when_it_is_made():
+    # a JobSpec holds what its names name from the start, so job_from_mapping
+    # resolves no name and builds no second job
+    callers = {}
+    for scope, call in scoped_calls("jobs"):
+        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        callers.setdefault(name, set()).add(scope)
+    assert callers["load_profile"] == callers["get_scheme"] == {"JobSpec.__post_init__"}
+    assert "job_from_mapping" not in callers.get("JobSpec", set())
 
 
 def test_running_jobs_from_the_cli_leaves_csv_for_sweep_and_dataclasses_unloaded(tmp_path):
